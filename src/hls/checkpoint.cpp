@@ -426,11 +426,13 @@ CheckpointStore::Report CheckpointStore::save_impl(
     int instance;
     int module;
     StorageManager::Resolved r;
+    bool scanned = false;  ///< delta of a file-tier region: `scan` is set
+    TierScan scan;
   };
   std::vector<Entry> entries;
   storage.for_each_materialized(
       scope, [&](int instance, int module, StorageManager::Resolved r) {
-        entries.push_back(Entry{instance, module, r});
+        entries.push_back(Entry{instance, module, r, false, {}});
       });
 
   // Delta only when this store instance has a base the dirty epochs are
@@ -459,11 +461,11 @@ CheckpointStore::Report CheckpointStore::save_impl(
     std::uint64_t bytes;
   };
   std::vector<Span> spans;
-  for (const Entry& e : entries) {
+  for (Entry& e : entries) {
     if (delta) {
-      std::vector<std::pair<std::size_t, std::size_t>> dirty;
-      if (storage.tier_dirty_spans(scope, e.instance, e.module, &dirty)) {
-        for (const auto& [off, len] : dirty) {
+      e.scanned = storage.tier_scan(scope, e.instance, e.module, &e.scan);
+      if (e.scanned) {
+        for (const auto& [off, len] : e.scan.spans) {
           spans.push_back(Span{e.instance, e.module, off, e.r.base + off, len});
         }
         continue;
@@ -537,10 +539,13 @@ CheckpointStore::Report CheckpointStore::save_impl(
 
   if (!torn) {
     // New dirty-tracking epoch: the next delta is relative to `version`.
+    // A delta's scan already hashed every page of its file-tier regions;
+    // those CRCs become the baselines instead of a second full hash.
     last_saved_[scope] = version;
     chain_len_[scope] = delta ? chain_len_[scope] + 1 : 0;
     for (const Entry& e : entries) {
-      storage.tier_rebaseline(scope, e.instance, e.module);
+      storage.tier_rebaseline(scope, e.instance, e.module,
+                              e.scanned ? &e.scan : nullptr);
     }
   }
 

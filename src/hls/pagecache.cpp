@@ -23,6 +23,7 @@ struct PageCache::Region {
   std::vector<unsigned char> resident;     // 0/1 per page
   std::vector<unsigned char> noted;        // note_write hint, 0/1 per page
   std::vector<std::uint64_t> stamp;        // last-touch tick, for LRU
+  std::uint64_t write_gen = 0;             // note_write calls so far
 };
 
 namespace {
@@ -31,6 +32,13 @@ std::size_t page_span(std::size_t page_bytes, std::size_t region_bytes,
                       std::size_t page) {
   const std::size_t off = page * page_bytes;
   return std::min(page_bytes, region_bytes - off);
+}
+
+std::uint32_t page_crc(const shm::MappedSegment& seg, std::size_t page_bytes,
+                       std::size_t page) {
+  return crc32c(static_cast<const unsigned char*>(seg.base()) +
+                    page * page_bytes,
+                page_span(page_bytes, seg.size(), page));
 }
 
 }  // namespace
@@ -78,12 +86,13 @@ int PageCache::attach(shm::MappedSegment* seg, int sid, int instance) {
   r->resident.assign(r->npages, 0);
   r->noted.assign(r->npages, 0);
   r->stamp.assign(r->npages, 0);
-  const unsigned char* base = static_cast<const unsigned char*>(seg->base());
+  // Hashed before taking the lock: concurrent first touches of different
+  // regions attach in parallel.
   for (std::size_t p = 0; p < r->npages; ++p) {
-    r->base_crc[p] = crc32c(base + p * cfg_.page_bytes,
-                            page_span(cfg_.page_bytes, seg->size(), p));
+    r->base_crc[p] = page_crc(*seg, cfg_.page_bytes, p);
   }
   std::lock_guard<std::mutex> lk(mu_);
+  stats_.hashed_pages += r->npages;
   for (std::size_t i = 0; i < regions_.size(); ++i) {
     if (regions_[i] == nullptr) {
       regions_[i] = std::move(r);
@@ -103,13 +112,46 @@ void PageCache::detach(int rid) {
   regions_[static_cast<std::size_t>(rid)].reset();
 }
 
-bool PageCache::page_dirty_locked(const Region& r, std::size_t page) const {
-  if (r.noted[page] != 0) return true;
-  const unsigned char* base =
-      static_cast<const unsigned char*>(r.seg->base());
-  return crc32c(base + page * cfg_.page_bytes,
-                page_span(cfg_.page_bytes, r.seg->size(), page)) !=
-         r.base_crc[page];
+std::size_t PageCache::scan_locked(const Region& r, std::size_t first,
+                                   std::size_t end, unsigned char* dirty,
+                                   std::uint32_t* crcs) const {
+  std::size_t ndirty = 0;
+  for (std::size_t p = first; p < end; ++p) {
+    bool d = r.noted[p] != 0;
+    // A hinted page is dirty whatever its content: hash it only when the
+    // caller keeps CRCs. `crcs` may alias base_crc (rebaseline), so the
+    // store comes after the compare.
+    if (crcs != nullptr || !d) {
+      const std::uint32_t c = page_crc(*r.seg, cfg_.page_bytes, p);
+      ++stats_.hashed_pages;
+      d = d || c != r.base_crc[p];
+      if (crcs != nullptr) crcs[p - first] = c;
+    }
+    if (dirty != nullptr) dirty[p - first] = d ? 1 : 0;
+    if (d) ++ndirty;
+  }
+  return ndirty;
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> PageCache::spans_locked(
+    const Region& r, std::uint32_t* crcs) const {
+  std::vector<unsigned char> dirty(r.npages);
+  scan_locked(r, 0, r.npages, dirty.data(), crcs);
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  std::size_t p = 0;
+  while (p < r.npages) {
+    if (dirty[p] == 0) {
+      ++p;
+      continue;
+    }
+    std::size_t q = p + 1;
+    while (q < r.npages && dirty[q] != 0) ++q;
+    const std::size_t off = p * cfg_.page_bytes;
+    out.emplace_back(off,
+                     std::min((q - p) * cfg_.page_bytes, r.seg->size() - off));
+    p = q;
+  }
+  return out;
 }
 
 void PageCache::writeback_page_locked(Region& r, std::size_t page, int task) {
@@ -157,7 +199,9 @@ void PageCache::evict_down_to_budget_locked(int task) {
       }
     }
     if (vr == nullptr) return;  // budget smaller than bookkeeping says
-    if (page_dirty_locked(*vr, vp)) writeback_page_locked(*vr, vp, task);
+    if (scan_locked(*vr, vp, vp + 1, nullptr, nullptr) != 0) {
+      writeback_page_locked(*vr, vp, task);
+    }
     vr->seg->drop(vp * cfg_.page_bytes,
                   page_span(cfg_.page_bytes, vr->seg->size(), vp));
     vr->resident[vp] = 0;
@@ -221,18 +265,18 @@ void PageCache::touch(int rid, std::size_t offset, std::size_t len,
     }
     stats_.misses += missed;
     ++stats_.prereads;
-    stats_.preread_bytes += wlen;
+    stats_.preread_bytes += got;  // not wlen: an error or EOF stops short
 #if HLSMPC_OBS_ENABLED
     if (obs_ != nullptr) {
       obs_->count(task, obs::Counter::tier_cache_misses, missed);
-      obs_->count(task, obs::Counter::tier_preread_bytes, wlen);
+      obs_->count(task, obs::Counter::tier_preread_bytes, got);
       obs::Event e;
       e.kind = obs::EventKind::tier_preread;
       e.sid = static_cast<std::int16_t>(r->sid);
       e.task = task;
       e.instance = r->instance;
       e.t0 = e.t1 = obs_->now();
-      e.arg = static_cast<std::int64_t>(wlen);
+      e.arg = static_cast<std::int64_t>(got);
       e.arg2 = static_cast<std::int64_t>(wpages);
       obs_->record(e);
     }
@@ -251,26 +295,21 @@ void PageCache::note_write(int rid, std::size_t offset, std::size_t len) {
   const std::size_t first = offset / cfg_.page_bytes;
   const std::size_t last = (offset + len - 1) / cfg_.page_bytes;
   for (std::size_t p = first; p <= last; ++p) r->noted[p] = 1;
+  ++r->write_gen;
 }
 
 std::size_t PageCache::writeback(int rid, int task) {
   std::lock_guard<std::mutex> lk(mu_);
   Region* r = region_locked(rid);
   std::size_t total = 0;
-  // Coalesce runs of dirty pages into one msync (and one event) per span.
-  std::size_t p = 0;
-  while (p < r->npages) {
-    if (!page_dirty_locked(*r, p)) {
-      ++p;
-      continue;
-    }
-    std::size_t q = p;
-    while (q < r->npages && page_dirty_locked(*r, q)) ++q;
-    const std::size_t off = p * cfg_.page_bytes;
-    const std::size_t len =
-        std::min((q - p) * cfg_.page_bytes, r->seg->size() - off);
+  // One msync (and one event) per maximal run of dirty pages.
+  for (const auto& [off, len] : spans_locked(*r, nullptr)) {
     r->seg->sync(off, len, /*blocking=*/true);
-    for (std::size_t m = p; m < q; ++m) r->noted[m] = 0;
+    const std::size_t first = off / cfg_.page_bytes;
+    const std::size_t end =
+        first + (len + cfg_.page_bytes - 1) / cfg_.page_bytes;
+    std::fill(r->noted.begin() + static_cast<std::ptrdiff_t>(first),
+              r->noted.begin() + static_cast<std::ptrdiff_t>(end), 0);
     ++stats_.writebacks;
     stats_.writeback_bytes += len;
     total += len;
@@ -284,48 +323,40 @@ std::size_t PageCache::writeback(int rid, int task) {
       e.instance = r->instance;
       e.t0 = e.t1 = obs_->now();
       e.arg = static_cast<std::int64_t>(len);
-      e.arg2 = static_cast<std::int64_t>(q - p);
+      e.arg2 = static_cast<std::int64_t>(end - first);
       obs_->record(e);
     }
 #else
     (void)task;
 #endif
-    p = q;
   }
   return total;
 }
 
-std::vector<std::pair<std::size_t, std::size_t>> PageCache::dirty_spans(
-    int rid) const {
+TierScan PageCache::scan(int rid) const {
   std::lock_guard<std::mutex> lk(mu_);
   const Region* r = region_locked(rid);
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  std::size_t p = 0;
-  while (p < r->npages) {
-    if (!page_dirty_locked(*r, p)) {
-      ++p;
-      continue;
-    }
-    std::size_t q = p;
-    while (q < r->npages && page_dirty_locked(*r, q)) ++q;
-    const std::size_t off = p * cfg_.page_bytes;
-    out.emplace_back(off,
-                     std::min((q - p) * cfg_.page_bytes, r->seg->size() - off));
-    p = q;
-  }
-  return out;
+  TierScan s{{}, std::vector<std::uint32_t>(r->npages), r->write_gen};
+  s.spans = spans_locked(*r, s.crcs.data());
+  return s;
 }
 
-void PageCache::rebaseline(int rid) {
+bool PageCache::rebaseline(int rid, const TierScan* published) {
   std::lock_guard<std::mutex> lk(mu_);
   Region* r = region_locked(rid);
-  const unsigned char* base =
-      static_cast<const unsigned char*>(r->seg->base());
-  for (std::size_t p = 0; p < r->npages; ++p) {
-    r->base_crc[p] = crc32c(base + p * cfg_.page_bytes,
-                            page_span(cfg_.page_bytes, r->seg->size(), p));
-    r->noted[p] = 0;
+  const bool adopt = published != nullptr &&
+                     published->write_gen == r->write_gen &&
+                     published->crcs.size() == r->npages;
+  if (adopt) {
+    std::copy(published->crcs.begin(), published->crcs.end(),
+              r->base_crc.begin());
+  } else {
+    scan_locked(*r, 0, r->npages, nullptr, r->base_crc.data());
   }
+  if (adopt || published == nullptr) {
+    std::fill(r->noted.begin(), r->noted.end(), 0);
+  }
+  return adopt;
 }
 
 PageCache::Stats PageCache::stats() const {

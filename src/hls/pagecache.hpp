@@ -21,8 +21,11 @@
 //    pointers that never re-enter the runtime; note_write() hint bits
 //    cover the (cheap) runtime-visible writes, the hash catches the rest.
 //    Baselines move only at rebaseline() — the checkpoint layer's epoch
-//    mark — so dirty_spans() is exactly "changed since the last
-//    checkpoint", which is what incremental saves snapshot.
+//    mark — so scan() is exactly "changed since the last checkpoint",
+//    which is what incremental saves snapshot. Every query is one locked
+//    scan that hashes each page at most once; a delta save hands its
+//    scan back to rebaseline(), which installs those CRCs instead of
+//    hashing the region again.
 //
 // Coherence: pages are published with plain release/acquire on the
 // resident bookkeeping, nothing per-byte. That suffices because of the
@@ -77,6 +80,7 @@ class PageCache {
     std::uint64_t writebacks = 0;  ///< coalesced spans flushed
     std::uint64_t writeback_bytes = 0;
     std::uint64_t evictions = 0;   ///< pages dropped under pool pressure
+    std::uint64_t hashed_pages = 0;  ///< page CRCs computed (scan cost)
   };
 
   /// Register a mapped segment; returns its region id for the calls
@@ -104,12 +108,19 @@ class PageCache {
 
   /// Maximal contiguous (offset, length) byte spans of pages whose
   /// content differs from the baseline (or carry a note_write hint),
-  /// clipped to the region size — the incremental checkpoint's manifest.
-  std::vector<std::pair<std::size_t, std::size_t>> dirty_spans(int rid) const;
+  /// clipped to the region size — the incremental checkpoint's manifest —
+  /// plus every page's CRC and the region's write generation, for
+  /// rebaseline().
+  TierScan scan(int rid) const;
 
-  /// Re-capture baselines from current contents and clear hint bits:
-  /// called after a checkpoint save (the delta's new epoch) or restore.
-  void rebaseline(int rid);
+  /// Start a new dirty-tracking epoch: baselines := current contents,
+  /// hint bits cleared. Called after a checkpoint save or a restore.
+  /// Given `published` — the scan whose spans a delta save just wrote —
+  /// its CRCs are installed without hashing again. If a note_write
+  /// landed since that scan, the CRCs may predate bytes the save did not
+  /// capture: contents are rehashed instead and every hint bit kept, so
+  /// those pages stay in the next delta. Returns false when it hashed.
+  bool rebaseline(int rid, const TierScan* published = nullptr);
 
   Stats stats() const;
   const TierConfig& config() const { return cfg_; }
@@ -119,7 +130,17 @@ class PageCache {
 
   void evict_down_to_budget_locked(int task);
   void writeback_page_locked(Region& r, std::size_t page, int task);
-  bool page_dirty_locked(const Region& r, std::size_t page) const;
+  /// The one dirty-tracking pass over pages [first, end) of `r`: hashes
+  /// each page at most once. With `crcs`, every page is hashed and its
+  /// CRC stored at crcs[p - first]; without, hinted pages (dirty whatever
+  /// their content) are not hashed. `dirty`, when given, receives 0/1 per
+  /// page. Returns the number of dirty pages.
+  std::size_t scan_locked(const Region& r, std::size_t first,
+                          std::size_t end, unsigned char* dirty,
+                          std::uint32_t* crcs) const;
+  /// scan_locked() over the whole region, folded into maximal spans.
+  std::vector<std::pair<std::size_t, std::size_t>> spans_locked(
+      const Region& r, std::uint32_t* crcs) const;
   Region* region_locked(int rid) const;
 
   TierConfig cfg_;
@@ -130,7 +151,7 @@ class PageCache {
   std::vector<std::unique_ptr<Region>> regions_;
   std::size_t resident_pages_ = 0;
   std::uint64_t tick_ = 0;
-  Stats stats_;
+  mutable Stats stats_;  // const scans still count hashed_pages
   std::vector<unsigned char> scratch_;  ///< reused read-ahead buffer
 };
 

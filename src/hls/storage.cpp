@@ -471,22 +471,21 @@ std::size_t StorageManager::tier_flush(int task) {
   return total;
 }
 
-bool StorageManager::tier_dirty_spans(
-    const CanonicalScope& scope, int instance, int module,
-    std::vector<std::pair<std::size_t, std::size_t>>* out) const {
+bool StorageManager::tier_scan(const CanonicalScope& scope, int instance,
+                               int module, TierScan* out) const {
   const ModuleRegion* region =
       find_region(scope_id(reg_->scopes(), scope), instance, module);
   if (region == nullptr || region->cache_rid < 0) return false;
-  *out = cache_->dirty_spans(region->cache_rid);
+  *out = cache_->scan(region->cache_rid);
   return true;
 }
 
 void StorageManager::tier_rebaseline(const CanonicalScope& scope, int instance,
-                                     int module) {
+                                     int module, const TierScan* published) {
   const ModuleRegion* region =
       find_region(scope_id(reg_->scopes(), scope), instance, module);
   if (region == nullptr || region->cache_rid < 0) return;
-  cache_->rebaseline(region->cache_rid);
+  cache_->rebaseline(region->cache_rid, published);
 }
 
 #else  // !HLSMPC_STORAGE_TIER_ENABLED
@@ -521,13 +520,13 @@ void StorageManager::set_tier_config(TierConfig) {}
 
 std::size_t StorageManager::tier_flush(int) { return 0; }
 
-bool StorageManager::tier_dirty_spans(
-    const CanonicalScope&, int, int,
-    std::vector<std::pair<std::size_t, std::size_t>>*) const {
+bool StorageManager::tier_scan(const CanonicalScope&, int, int,
+                               TierScan*) const {
   return false;
 }
 
-void StorageManager::tier_rebaseline(const CanonicalScope&, int, int) {}
+void StorageManager::tier_rebaseline(const CanonicalScope&, int, int,
+                                     const TierScan*) {}
 
 #endif  // HLSMPC_STORAGE_TIER_ENABLED
 

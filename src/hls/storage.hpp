@@ -140,16 +140,17 @@ class StorageManager {
   /// backing file (coalesced spans). Returns the bytes written.
   std::size_t tier_flush(int task = -1);
   /// Dirty byte-spans of the (scope, instance, module) region since its
-  /// last rebaseline — the incremental checkpoint's manifest. Returns
-  /// false (out untouched) when the region is not a materialized
-  /// file-tier region.
-  bool tier_dirty_spans(
-      const CanonicalScope& scope, int instance, int module,
-      std::vector<std::pair<std::size_t, std::size_t>>* out) const;
+  /// last rebaseline — the incremental checkpoint's manifest — with the
+  /// per-page CRCs the scan computed. Returns false (out untouched) when
+  /// the region is not a materialized file-tier region.
+  bool tier_scan(const CanonicalScope& scope, int instance, int module,
+                 TierScan* out) const;
   /// Mark the region's current contents as the new dirty-tracking epoch
-  /// (after a successful checkpoint save/restore). No-op for anonymous
-  /// regions.
-  void tier_rebaseline(const CanonicalScope& scope, int instance, int module);
+  /// (after a successful save or a restore). A delta save passes the
+  /// scan it published, whose CRCs then become the baselines without a
+  /// second hash (PageCache::rebaseline). No-op for anonymous regions.
+  void tier_rebaseline(const CanonicalScope& scope, int instance, int module,
+                       const TierScan* published = nullptr);
 #if HLSMPC_STORAGE_TIER_ENABLED
   /// The page cache fronting file-tier regions; nullptr until the first
   /// file-tier region materializes.

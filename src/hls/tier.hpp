@@ -20,6 +20,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #ifndef HLSMPC_STORAGE_TIER_ENABLED
 #define HLSMPC_STORAGE_TIER_ENABLED 1
@@ -79,6 +81,16 @@ struct TierConfig {
   /// pre-read serves the touching rank's neighbours and every co-resident
   /// rank that follows.
   std::size_t read_ahead_pages = 8;
+};
+
+/// One dirty-tracking scan of a file-tier region (PageCache::scan): the
+/// incremental checkpoint's manifest plus what the save needs to adopt
+/// the scan as the next epoch's baselines instead of hashing again.
+struct TierScan {
+  /// Maximal (offset, length) byte spans of dirty pages.
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  std::vector<std::uint32_t> crcs;  ///< every page's CRC-32C at scan time
+  std::uint64_t write_gen = 0;      ///< region's note_write count then
 };
 
 }  // namespace hlsmpc::hls

@@ -300,10 +300,15 @@ TEST(Mpi, RendezvousLargeMessage) {
       for (std::size_t i = 0; i < big; ++i) {
         data[i] = static_cast<std::uint8_t>(i * 7);
       }
-      world.send(ctx, data.data(), big, 1, 0);
+      // Send before the receive is posted (the barrier orders them): a
+      // receive posted first would take the direct-copy path instead.
+      mpi::Request s = world.isend(ctx, data.data(), big, 1, 0);
+      world.barrier(ctx);
+      world.wait(ctx, s);
     } else {
       std::vector<std::uint8_t> data(big, 0);
       mpi::Status st;
+      world.barrier(ctx);
       world.recv(ctx, data.data(), big, 0, 0, &st);
       EXPECT_EQ(st.bytes, big);
       for (std::size_t i = 0; i < big; i += 997) {

@@ -16,22 +16,33 @@
 //    snapshot), and file_spill scratch is unlinked at destruction;
 //  - incremental checkpoints: a delta save snapshots only the dirty page
 //    spans, chains onto its full base, and restores bit-identically into
-//    a fresh runtime.
+//    a fresh runtime;
+//  - CRC-32C: the interleaved hardware kernel equals the software tables
+//    on every length/offset around its block boundaries, and a trailer
+//    built by the software path still restores;
+//  - dirty tracking against ground truth: each delta holds exactly the
+//    pages whose bytes differ (memcmp) from the previous version's
+//    restored image, a delta save hashes each page once, and a
+//    note_write racing a save keeps its page in the next delta.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "hls/checkpoint.hpp"
+#include "hls/crc32c.hpp"
 #include "hls/hls.hpp"
 #include "hls/pagecache.hpp"
 #include "obs/recorder.hpp"
@@ -126,7 +137,80 @@ testing::AssertionResult all_match(hls::Runtime& rt, const hls::VarHandle& h,
   return testing::AssertionSuccess();
 }
 
+/// The software CRC-32C with crc32c()'s seed convention.
+std::uint32_t crc_sw(const void* p, std::size_t n, std::uint32_t seed = 0) {
+  return ~hls::crc_detail::crc32c_sw(static_cast<const unsigned char*>(p), n,
+                                     ~seed);
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<unsigned char> v(n);
+  for (auto& b : v) b = static_cast<unsigned char>(rng());
+  return v;
+}
+
 }  // namespace
+
+// ---- CRC-32C ---------------------------------------------------------
+
+TEST(Crc32c, KnownAnswer) {
+  EXPECT_EQ(hls::crc32c("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(crc_sw("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(hls::crc32c(nullptr, 0), 0u);
+}
+
+TEST(Crc32c, HardwareMatchesSoftwareAtEveryLengthAndOffset) {
+  // Every length through two long 3-way rounds plus a ragged tail, at
+  // each alignment. The software reference is extended one byte per
+  // length (chaining is part of the contract), so it costs O(n) per
+  // offset; each offset starts from the previous offset's final value.
+  constexpr std::size_t kMax = 3 * 2 * 8192 + 17;
+  const std::vector<unsigned char> buf = random_bytes(kMax + 8, 1);
+  std::uint32_t seed = 0x12345678u;
+  for (std::size_t off = 0; off < 8; ++off) {
+    const unsigned char* p = buf.data() + off;
+    std::uint32_t want = seed;  // software CRC of p[0, n) from `seed`
+    for (std::size_t n = 0; n <= kMax; ++n) {
+      if (n > 0) want = crc_sw(p + n - 1, 1, want);
+      const std::uint32_t got = hls::crc32c(p, n, seed);
+      if (got != want) {
+        FAIL() << "offset " << off << " length " << n << ": " << std::hex
+               << got << " != " << want;
+      }
+    }
+    seed = want;
+  }
+}
+
+TEST(Crc32c, BlockBoundariesAndSplitChains) {
+  const std::vector<unsigned char> buf = random_bytes(4 * 3 * 8192 + 64, 2);
+  std::vector<std::size_t> lengths;
+  for (std::size_t k = 1; k <= 4; ++k) {
+    for (const std::size_t block : {std::size_t{256}, std::size_t{8192}}) {
+      for (const std::size_t base : {k * 3 * block, 3 * 8192 + k * 3 * 256}) {
+        lengths.insert(lengths.end(), {base - 1, base, base + 1});
+      }
+    }
+  }
+  for (const std::size_t n : lengths) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      const unsigned char* p = buf.data() + off;
+      const std::uint32_t whole = crc_sw(p, n);
+      ASSERT_EQ(hls::crc32c(p, n), whole) << "offset " << off << " len " << n;
+      // Split anywhere around the boundary: chaining hw pieces agrees.
+      const std::size_t cut = n / 3 + off;
+      ASSERT_EQ(hls::crc32c(p + cut, n - cut, hls::crc32c(p, cut)), whole)
+          << "offset " << off << " len " << n << " cut " << cut;
+    }
+  }
+}
+
+TEST(Crc32c, LargeBufferMatchesSoftware) {
+  const std::vector<unsigned char> buf = random_bytes(std::size_t{64} << 20, 3);
+  EXPECT_EQ(hls::crc32c(buf.data(), buf.size()),
+            crc_sw(buf.data(), buf.size()));
+}
 
 // ---- page cache -----------------------------------------------------
 
@@ -170,7 +254,7 @@ TEST(PageCache, CoalescesDirtySpansAndHashesUnhintedWrites) {
   // write-back issues exactly two (coalesced) msyncs covering three pages.
   pc.note_write(rid, 0, 2 * kPage);
   pc.note_write(rid, 5 * kPage, 100);
-  const auto spans = pc.dirty_spans(rid);
+  const auto spans = pc.scan(rid).spans;
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0], std::make_pair(std::size_t{0}, 2 * kPage));
   EXPECT_EQ(spans[1], std::make_pair(5 * kPage, kPage));
@@ -178,18 +262,18 @@ TEST(PageCache, CoalescesDirtySpansAndHashesUnhintedWrites) {
   const hls::PageCache::Stats s = pc.stats();
   EXPECT_EQ(s.writebacks, 2u);
   EXPECT_EQ(s.writeback_bytes, 3 * kPage);
-  EXPECT_TRUE(pc.dirty_spans(rid).empty());  // hints cleared, content clean
+  EXPECT_TRUE(pc.scan(rid).spans.empty());  // hints cleared, content clean
 
   // A write through the raw mapping (the warm get_addr path never
   // re-enters the runtime, so no hint): the content hash must catch it.
   static_cast<unsigned char*>(seg.base())[3 * kPage + 7] = 0xAB;
-  const auto hashed = pc.dirty_spans(rid);
+  const auto hashed = pc.scan(rid).spans;
   ASSERT_EQ(hashed.size(), 1u);
   EXPECT_EQ(hashed[0], std::make_pair(3 * kPage, kPage));
 
   // rebaseline (the checkpoint epoch mark) declares current contents clean.
   pc.rebaseline(rid);
-  EXPECT_TRUE(pc.dirty_spans(rid).empty());
+  EXPECT_TRUE(pc.scan(rid).spans.empty());
 }
 
 TEST(PageCache, EvictsUnderPoolPressureWithoutDataLoss) {
@@ -218,6 +302,89 @@ TEST(PageCache, EvictsUnderPoolPressureWithoutDataLoss) {
   for (std::size_t i = 0; i < 8 * kPage; ++i) {
     ASSERT_EQ(p[i], static_cast<unsigned char>(i * 31 + 7)) << "byte " << i;
   }
+}
+
+TEST(PageCache, PrereadCountsBytesActuallyRead) {
+  const std::string dir = fresh_dir("hls_tier_pc_short");
+  shm::MappedSegment seg(dir + "/seg", 8 * kPage);
+#if HLSMPC_OBS_ENABLED
+  obs::Recorder rec({.ntasks = 1, .num_scopes = 0, .ring_capacity = 8});
+  hls::PageCache pc(small_pages(dir), &rec);
+#else
+  hls::PageCache pc(small_pages(dir));
+#endif
+  const int rid = pc.attach(&seg);
+
+  // The backing file shrinks under the cache: the 4-page read-ahead
+  // window now ends past EOF and pread stops short.
+  const std::size_t short_size = 2 * kPage + 100;
+  ASSERT_EQ(::ftruncate(seg.fd(), static_cast<off_t>(short_size)), 0);
+  std::vector<char> probe(4 * kPage);
+  const ssize_t n = ::pread(seg.fd(), probe.data(), probe.size(), 0);
+  ASSERT_EQ(n, static_cast<ssize_t>(short_size));
+
+  pc.touch(rid, 0, 1, /*task=*/0);
+  const hls::PageCache::Stats s = pc.stats();
+  EXPECT_EQ(s.prereads, 1u);
+  EXPECT_EQ(s.preread_bytes, static_cast<std::uint64_t>(n));
+#if HLSMPC_OBS_ENABLED
+  EXPECT_EQ(rec.snapshot().value(obs::Counter::tier_preread_bytes),
+            static_cast<std::uint64_t>(n));
+#endif
+  ASSERT_EQ(::ftruncate(seg.fd(), static_cast<off_t>(8 * kPage)), 0);
+}
+
+TEST(PageCache, AdoptedScanIsTheNextBaseline) {
+  const std::string dir = fresh_dir("hls_tier_pc_adopt");
+  shm::MappedSegment seg(dir + "/seg", 8 * kPage);
+  hls::PageCache pc(small_pages(dir));
+  const int rid = pc.attach(&seg);
+  auto* p = static_cast<unsigned char*>(seg.base());
+
+  // One hinted and one raw write: a scan that keeps CRCs hashes every
+  // page exactly once (the hinted one too — its CRC becomes a baseline).
+  pc.note_write(rid, 2 * kPage, 10);
+  std::memset(p + 2 * kPage, 0x11, 10);
+  p[6 * kPage + 5] = 0x22;
+  const std::uint64_t h0 = pc.stats().hashed_pages;
+  const hls::TierScan scan = pc.scan(rid);
+  EXPECT_EQ(pc.stats().hashed_pages - h0, 8u);
+  ASSERT_EQ(scan.spans.size(), 2u);
+  EXPECT_EQ(scan.spans[0], std::make_pair(2 * kPage, kPage));
+  EXPECT_EQ(scan.spans[1], std::make_pair(6 * kPage, kPage));
+
+  // Nothing moved since the scan: adoption installs it without hashing.
+  EXPECT_TRUE(pc.rebaseline(rid, &scan));
+  EXPECT_EQ(pc.stats().hashed_pages - h0, 8u);
+  EXPECT_TRUE(pc.scan(rid).spans.empty());
+}
+
+TEST(PageCache, NoteWriteBetweenScanAndAdoptKeepsPageInNextDelta) {
+  const std::string dir = fresh_dir("hls_tier_pc_race");
+  shm::MappedSegment seg(dir + "/seg", 8 * kPage);
+  hls::PageCache pc(small_pages(dir));
+  const int rid = pc.attach(&seg);
+  auto* p = static_cast<unsigned char*>(seg.base());
+
+  p[1 * kPage] = 0x33;
+  const hls::TierScan scan = pc.scan(rid);
+  // What the save captured: the region as of its scan.
+  const std::vector<unsigned char> saved(p, p + 8 * kPage);
+  // A runtime-visible write lands before the save adopts its scan.
+  pc.note_write(rid, 5 * kPage + 9, 4);
+  std::memset(p + 5 * kPage + 9, 0x44, 4);
+  EXPECT_FALSE(pc.rebaseline(rid, &scan));  // the guard rescans
+
+  // Ground truth: the pages that differ from the saved image.
+  std::vector<std::pair<std::size_t, std::size_t>> want;
+  for (std::size_t page = 0; page < 8; ++page) {
+    if (std::memcmp(p + page * kPage, saved.data() + page * kPage, kPage) !=
+        0) {
+      want.emplace_back(page * kPage, kPage);
+    }
+  }
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_EQ(pc.scan(rid).spans, want);
 }
 
 // ---- the persistence substrate ---------------------------------------
@@ -434,5 +601,237 @@ TEST(TierRuntime, IncrementalCheckpointSnapshotsOnlyDirtyPages) {
       ASSERT_EQ(p[i], want) << "instance " << inst << " byte " << i;
     }
   }
+}
+
+namespace {
+
+constexpr std::size_t kWidePages = 32;
+
+hls::VarHandle register_wide(hls::Runtime& rt) {
+  hls::ModuleBuilder mb(rt.registry(), "wide");
+  auto blob = hls::add_array<std::uint8_t>(mb, "blob", kWidePages * kPage,
+                                           topo::node_scope());
+  mb.commit();
+  return blob.handle();
+}
+
+/// A file_backed runtime over `tier_dir` with `h` registered.
+struct TierRt {
+  hls::Runtime rt;
+  hls::VarHandle h;
+  TierRt(const topo::Machine& m, const std::string& tier_dir)
+      : rt(m, 1, [&] {
+          hls::Runtime::Options o;
+          o.tier = small_pages(tier_dir);
+          return o;
+        }()),
+        h(register_wide(rt)) {
+    rt.storage().set_tier(h.scope, hls::Tier::file_backed);
+  }
+
+  /// One warm base pointer per scope instance (materializing each).
+  std::vector<std::uint8_t*> bases() {
+    const auto& st = rt.registry().scopes();
+    const int sid = hls::scope_id(st, h.scope);
+    std::vector<std::uint8_t*> out(
+        static_cast<std::size_t>(st.num_instances(sid)));
+    for (int cpu = 0; cpu < st.num_cpus(); ++cpu) {
+      out[static_cast<std::size_t>(st.instance_of(sid, cpu))] =
+          static_cast<std::uint8_t*>(rt.storage().get_addr(h, cpu));
+    }
+    return out;
+  }
+};
+
+/// Every instance's bytes after restoring the newest version of `dir`
+/// into a fresh runtime on an empty tier directory.
+std::vector<std::vector<std::uint8_t>> restored_image(
+    const topo::Machine& m, const std::string& ckpt_dir,
+    const std::string& tier_dir) {
+  TierRt fresh(m, fresh_dir(tier_dir));
+  hls::CheckpointStore reader({ckpt_dir});
+  reader.restore(fresh.rt.storage(), fresh.rt.registry(), fresh.h.scope);
+  std::vector<std::vector<std::uint8_t>> img;
+  for (std::uint8_t* b : fresh.bases()) img.emplace_back(b, b + fresh.h.size);
+  return img;
+}
+
+/// Pages (per instance) whose bytes differ from `img`, and the number of
+/// maximal runs they form — what an exact delta manifest must hold.
+struct Diff {
+  std::size_t pages = 0;
+  int runs = 0;
+};
+Diff diff_pages(const std::vector<std::uint8_t*>& live,
+                const std::vector<std::vector<std::uint8_t>>& img) {
+  Diff d;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    bool prev = false;
+    for (std::size_t page = 0; page < kWidePages; ++page) {
+      const bool differs = std::memcmp(live[i] + page * kPage,
+                                       img[i].data() + page * kPage,
+                                       kPage) != 0;
+      if (differs) ++d.pages;
+      if (differs && !prev) ++d.runs;
+      prev = differs;
+    }
+  }
+  return d;
+}
+
+testing::AssertionResult same_bytes(
+    const std::vector<std::uint8_t*>& live,
+    const std::vector<std::vector<std::uint8_t>>& img) {
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (std::memcmp(live[i], img[i].data(), img[i].size()) != 0) {
+      return testing::AssertionFailure()
+             << "instance " << i << " differs from its restored image";
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+}  // namespace
+
+TEST(TierRuntime, RawWriteAfterDeltaSaveAppearsInNextDelta) {
+  const std::string ckpt_dir = fresh_dir("hls_tier_raw_ckpt");
+  const topo::Machine m = topo::Machine::nehalem_ex(2);
+  TierRt t(m, fresh_dir("hls_tier_raw_tier"));
+  const std::vector<std::uint8_t*> live = t.bases();
+  for (std::uint8_t* b : live) std::memset(b, 0x5A, t.h.size);
+  hls::CheckpointStore store({ckpt_dir, "hls", /*keep=*/8});
+  EXPECT_EQ(t.rt.checkpoint(store, topo::node_scope()), 1u);
+
+  // Writes through the warm pointer only — the runtime never sees them.
+  live[0][1 * kPage + 3] = 0x01;
+  const hls::CheckpointStore::Report d1 =
+      store.save_incremental(t.rt.storage(), t.rt.registry(), t.h.scope);
+  ASSERT_TRUE(d1.delta);
+  EXPECT_EQ(d1.payload_bytes, kPage);
+
+  // The save adopted its own scan as the new baseline: the next delta
+  // holds exactly the page written since, not page 1 again.
+  live[0][3 * kPage + 7] = 0x02;
+  hls::PageCache* pc = t.rt.storage().page_cache();
+  ASSERT_NE(pc, nullptr);
+  const std::uint64_t h0 = pc->stats().hashed_pages;
+  EXPECT_EQ(t.rt.checkpoint_incremental(store, topo::node_scope()), 3u);
+  // One hash per page for the whole delta checkpoint: scan, then adopt.
+  EXPECT_EQ(pc->stats().hashed_pages - h0, live.size() * kWidePages);
+  const auto img = restored_image(m, ckpt_dir, "hls_tier_raw_tier2");
+  EXPECT_TRUE(same_bytes(live, img));
+
+  const hls::CheckpointStore::Report d3 =
+      store.save_incremental(t.rt.storage(), t.rt.registry(), t.h.scope);
+  EXPECT_TRUE(d3.delta);
+  EXPECT_EQ(d3.payload_bytes, 0u);  // nothing written since version 3
+}
+
+TEST(TierRuntime, DeltaSpansMatchMemcmpGroundTruthOverRandomRounds) {
+  const std::string ckpt_dir = fresh_dir("hls_tier_rounds_ckpt");
+  const topo::Machine m = topo::Machine::nehalem_ex(2);
+  TierRt t(m, fresh_dir("hls_tier_rounds_tier"));
+  const std::vector<std::uint8_t*> live = t.bases();
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    for (std::size_t b = 0; b < t.h.size; ++b) {
+      live[i][b] = pattern(static_cast<int>(i), b, 9);
+    }
+  }
+  // keep > rounds: every incremental save stays a delta.
+  hls::CheckpointStore store({ckpt_dir, "hls", /*keep=*/16});
+  store.save(t.rt.storage(), t.rt.registry(), t.h.scope);
+  auto prev = restored_image(m, ckpt_dir, "hls_tier_rounds_r");
+  ASSERT_TRUE(same_bytes(live, prev));
+
+  std::mt19937_64 rng(7);
+  for (int round = 0; round < 10; ++round) {
+    // Raw writes through warm pointers, some straddling a page edge.
+    const int writes = 1 + static_cast<int>(rng() % 6);
+    for (int w = 0; w < writes; ++w) {
+      const std::size_t inst = rng() % live.size();
+      const std::size_t len = 1 + rng() % 300;
+      const std::size_t off = rng() % (t.h.size - len);
+      for (std::size_t b = 0; b < len; ++b) {
+        live[inst][off + b] = static_cast<std::uint8_t>(rng());
+      }
+    }
+    // Every third round also a runtime-visible (hinted) write that
+    // certainly changes its bytes.
+    if (round % 3 == 0) {
+      const std::size_t page = rng() % kWidePages;
+      std::vector<std::uint8_t> flipped(live[0] + page * kPage,
+                                        live[0] + page * kPage + 64);
+      for (auto& b : flipped) b ^= 0xA5;
+      t.rt.storage().import_region_range(t.h.scope, 0, t.h.module,
+                                         page * kPage, flipped.data(),
+                                         flipped.size());
+    }
+    if (round % 2 == 1) t.rt.tier_flush();  // clears hints, not epochs
+
+    const Diff want = diff_pages(live, prev);
+    const hls::CheckpointStore::Report rep =
+        store.save_incremental(t.rt.storage(), t.rt.registry(), t.h.scope);
+    ASSERT_TRUE(rep.delta) << "round " << round;
+    EXPECT_EQ(rep.payload_bytes, want.pages * kPage) << "round " << round;
+    EXPECT_EQ(rep.regions, want.runs) << "round " << round;
+    // The payload covers exactly the differing pages' byte count, and the
+    // chain restores to the live bytes: so no differing page is missing
+    // and no clean page took its place.
+    prev = restored_image(m, ckpt_dir,
+                          "hls_tier_rounds_r" + std::to_string(round));
+    ASSERT_TRUE(same_bytes(live, prev)) << "round " << round;
+  }
+}
+
+TEST(TierRuntime, SoftwareCrcTrailerStillRestores) {
+  const std::string ckpt_dir = fresh_dir("hls_tier_swcrc_ckpt");
+  const topo::Machine m = topo::Machine::nehalem_ex(2);
+  TierRt t(m, fresh_dir("hls_tier_swcrc_tier"));
+  const std::vector<std::uint8_t*> live = t.bases();
+  for (std::uint8_t* b : live) std::memset(b, 0x3C, t.h.size);
+  hls::CheckpointStore store({ckpt_dir});
+  store.save(t.rt.storage(), t.rt.registry(), t.h.scope);
+
+  DIR* d = opendir(ckpt_dir.c_str());
+  ASSERT_NE(d, nullptr);
+  std::string path;
+  while (dirent* e = readdir(d)) {
+    if (e->d_name[0] != '.') path = ckpt_dir + "/" + e->d_name;
+  }
+  closedir(d);
+  ASSERT_FALSE(path.empty());
+
+  // The version file ends [... last payload byte][CRC-32C trailer]. Flip
+  // that payload byte and re-seal the file with the SOFTWARE CRC: restore
+  // must accept it, i.e. both implementations agree on the format.
+  const int fd = ::open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  struct stat st;
+  ASSERT_EQ(::fstat(fd, &st), 0);
+  std::vector<unsigned char> file(static_cast<std::size_t>(st.st_size));
+  ASSERT_EQ(::pread(fd, file.data(), file.size(), 0),
+            static_cast<ssize_t>(file.size()));
+  const std::size_t body = file.size() - sizeof(std::uint32_t);
+  std::uint32_t trailer;
+  std::memcpy(&trailer, file.data() + body, sizeof(trailer));
+  EXPECT_EQ(trailer, crc_sw(file.data(), body));
+  file[body - 1] = 0xC3;
+  trailer = crc_sw(file.data(), body);
+  std::memcpy(file.data() + body, &trailer, sizeof(trailer));
+  ASSERT_EQ(::pwrite(fd, file.data(), file.size(), 0),
+            static_cast<ssize_t>(file.size()));
+  ::close(fd);
+
+  const auto img = restored_image(m, ckpt_dir, "hls_tier_swcrc_tier2");
+  std::size_t changed = 0;
+  for (const auto& inst : img) {
+    for (const std::uint8_t b : inst) {
+      if (b != 0x3C) {
+        EXPECT_EQ(b, 0xC3);
+        ++changed;
+      }
+    }
+  }
+  EXPECT_EQ(changed, 1u);
 }
 #endif  // HLSMPC_RECOVERY_ENABLED
