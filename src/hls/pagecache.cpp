@@ -23,7 +23,6 @@ struct PageCache::Region {
   std::vector<unsigned char> resident;     // 0/1 per page
   std::vector<unsigned char> noted;        // note_write hint, 0/1 per page
   std::vector<std::uint64_t> stamp;        // last-touch tick, for LRU
-  std::uint64_t write_gen = 0;             // note_write calls so far
 };
 
 namespace {
@@ -295,7 +294,6 @@ void PageCache::note_write(int rid, std::size_t offset, std::size_t len) {
   const std::size_t first = offset / cfg_.page_bytes;
   const std::size_t last = (offset + len - 1) / cfg_.page_bytes;
   for (std::size_t p = first; p <= last; ++p) r->noted[p] = 1;
-  ++r->write_gen;
 }
 
 std::size_t PageCache::writeback(int rid, int task) {
@@ -336,27 +334,21 @@ std::size_t PageCache::writeback(int rid, int task) {
 TierScan PageCache::scan(int rid) const {
   std::lock_guard<std::mutex> lk(mu_);
   const Region* r = region_locked(rid);
-  TierScan s{{}, std::vector<std::uint32_t>(r->npages), r->write_gen};
+  TierScan s{{}, std::vector<std::uint32_t>(r->npages)};
   s.spans = spans_locked(*r, s.crcs.data());
   return s;
 }
 
-bool PageCache::rebaseline(int rid, const TierScan* published) {
+void PageCache::rebaseline(int rid, const TierScan* published) {
   std::lock_guard<std::mutex> lk(mu_);
   Region* r = region_locked(rid);
-  const bool adopt = published != nullptr &&
-                     published->write_gen == r->write_gen &&
-                     published->crcs.size() == r->npages;
-  if (adopt) {
+  if (published != nullptr) {
     std::copy(published->crcs.begin(), published->crcs.end(),
               r->base_crc.begin());
   } else {
     scan_locked(*r, 0, r->npages, nullptr, r->base_crc.data());
   }
-  if (adopt || published == nullptr) {
-    std::fill(r->noted.begin(), r->noted.end(), 0);
-  }
-  return adopt;
+  std::fill(r->noted.begin(), r->noted.end(), 0);
 }
 
 PageCache::Stats PageCache::stats() const {

@@ -109,18 +109,16 @@ class PageCache {
   /// Maximal contiguous (offset, length) byte spans of pages whose
   /// content differs from the baseline (or carry a note_write hint),
   /// clipped to the region size — the incremental checkpoint's manifest —
-  /// plus every page's CRC and the region's write generation, for
-  /// rebaseline().
+  /// plus every page's CRC, for rebaseline().
   TierScan scan(int rid) const;
 
   /// Start a new dirty-tracking epoch: baselines := current contents,
   /// hint bits cleared. Called after a checkpoint save or a restore.
   /// Given `published` — the scan whose spans a delta save just wrote —
-  /// its CRCs are installed without hashing again. If a note_write
-  /// landed since that scan, the CRCs may predate bytes the save did not
-  /// capture: contents are rehashed instead and every hint bit kept, so
-  /// those pages stay in the next delta. Returns false when it hashed.
-  bool rebaseline(int rid, const TierScan* published = nullptr);
+  /// its CRCs are installed without hashing again. A page written after
+  /// that scan still differs from its adopted CRC, so it lands in the
+  /// next delta by hash whether or not the write was hinted.
+  void rebaseline(int rid, const TierScan* published = nullptr);
 
   Stats stats() const;
   const TierConfig& config() const { return cfg_; }

@@ -90,7 +90,6 @@ struct TierScan {
   /// Maximal (offset, length) byte spans of dirty pages.
   std::vector<std::pair<std::size_t, std::size_t>> spans;
   std::vector<std::uint32_t> crcs;  ///< every page's CRC-32C at scan time
-  std::uint64_t write_gen = 0;      ///< region's note_write count then
 };
 
 }  // namespace hlsmpc::hls

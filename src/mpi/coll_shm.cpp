@@ -434,109 +434,69 @@ std::uint32_t ShmCollEngine::yield_stride(const FragGeom& geom,
       std::max<std::size_t>(kYieldWindowBytes / frag_bytes, 1));
 }
 
-std::byte* ShmCollEngine::plan_reduce_pipelined(ult::TaskContext& ctx, int me,
-                                                const void* sendbuf,
-                                                std::size_t count,
-                                                std::size_t elem_bytes,
-                                                const ReduceFn& fn,
-                                                void* rank0_acc) {
-  // Pipelined reductions always run over the topology tree: the overlap
-  // comes from a leader forwarding fragment f up a level while the level
-  // below still folds fragment f+1.
-  Plan& plan = hier_;
-  const std::size_t bytes = count * elem_bytes;
-  const FragGeom geom = frag_geom(count, elem_bytes);
-  const std::uint32_t ystride = yield_stride(geom, elem_bytes);
-  const std::uint64_t base = priv_[static_cast<std::size_t>(me)].frag_base;
+std::pair<std::size_t, std::size_t> ShmCollEngine::slice_of(
+    int r, std::size_t count) const {
+  const auto n = static_cast<std::size_t>(n_);
+  const auto s = static_cast<std::size_t>(r);
+  return {count * s / n, count * (s + 1) / n};
+}
+
+const std::byte* ShmCollEngine::reduce_slices(ult::TaskContext& ctx, int me,
+                                              const void* sendbuf,
+                                              std::size_t count,
+                                              std::size_t elem_bytes,
+                                              const ReduceFn& fn,
+                                              std::uint64_t pub) {
+  const FragGeom geom = begin_pipelined(count, elem_bytes);
   Slot& my = slots_[static_cast<std::size_t>(me)];
-
-  Level& leaf = plan[0];
-  Group& g = *leaf.groups[static_cast<std::size_t>(
-      leaf.group_of[static_cast<std::size_t>(me)])];
-  if (me != g.members.front()) {
-    // Non-leader: the whole send buffer is ready at entry, so publish the
-    // pointer and every fragment with a single release store of the final
-    // fragment value (covering values are satisfied by wait_seq's `>=`).
-    // The completion barrier keeps sendbuf stable until folded.
-    my.ptr.store(sendbuf, std::memory_order_relaxed);
-    publish_frag(ctx, my.frag, base + geom.nfrags);
-    count_frags(geom.nfrags);
-    return nullptr;
+  // The whole send buffer is ready at entry: one publication covers it.
+  my.ptr.store(sendbuf, std::memory_order_relaxed);
+  publish_frag(ctx, my.frag, pub);
+  const auto [lo, hi] = slice_of(me, count);
+  auto& scratch = priv_[static_cast<std::size_t>(me)].scratch;
+  if (scratch.size() < (hi - lo) * elem_bytes) {
+    scratch.resize((hi - lo) * elem_bytes);
   }
-
-  // Leaf leader: fold fragment by fragment — inside a fragment the fold
-  // is the usual ascending rank order with the accumulator as the left
-  // operand (associative-only contract), and a completed accumulator
-  // fragment is release-published immediately so the cell leader one
-  // level up forwards it while this rank folds the next one. Rank 0
-  // folds straight into the caller's result buffer; other leaders fold
-  // into the send buffer's registered attach block (stable across calls,
-  // so repeated collectives on one buffer reuse warm storage).
-  std::byte* acc;
-  if (rank0_acc != nullptr && me == 0) {
-    acc = static_cast<std::byte*>(rank0_acc);
-  } else {
-    Registration& reg =
-        resolve_registration(ctx, me, sendbuf, count, elem_bytes);
-    acc = reg_block(reg, bytes);
+  std::byte* acc = scratch.data();
+  for (int r = 0; r < n_; ++r) {
+    wait_seq(slots_[static_cast<std::size_t>(r)].frag, pub, ctx);
   }
-  // Highest level whose cell this rank leads; it folds levels
-  // [1, top_led] into each fragment before publishing it, so a published
-  // fragment always carries the rank's whole subtree.
-  std::size_t top_led = 0;
-  for (std::size_t l = 1; l < plan.size(); ++l) {
-    Level& lv = plan[l];
-    Group& cell = *lv.groups[static_cast<std::size_t>(
-        lv.group_of[static_cast<std::size_t>(me)])];
-    if (me != cell.members.front()) break;
-    top_led = l;
-  }
-  my.acc_ptr.store(acc, std::memory_order_relaxed);
-  // Leaf members publish their whole buffer with a single release store at
-  // entry (above), so one wait per member for the covering value stands in
-  // for every per-fragment wait the fold loop would otherwise issue.
-  for (std::size_t i = 1; i < g.members.size(); ++i) {
-    wait_seq(slots_[static_cast<std::size_t>(g.members[i])].frag,
-             base + geom.nfrags, ctx);
-  }
-  const std::byte* src = static_cast<const std::byte*>(sendbuf);
-  for (std::uint32_t f = 0; f < geom.nfrags; ++f) {
-    const std::size_t e0 = static_cast<std::size_t>(f) * geom.frag_elems;
-    const std::size_t ne = std::min(geom.frag_elems, count - e0);
+  // Ascending rank order with the accumulator as the left operand — the
+  // associative-only contract — one fragment at a time, so the piece of
+  // the accumulator being folded stays L1-resident across all n inputs.
+  for (std::size_t e0 = lo; e0 < hi; e0 += geom.frag_elems) {
+    const std::size_t ne = std::min(geom.frag_elems, hi - e0);
+    std::byte* a = acc + (e0 - lo) * elem_bytes;
     const std::size_t off = e0 * elem_bytes;
-    const std::size_t fb = ne * elem_bytes;
-    copy_bytes(acc + off, src + off, fb);  // elided when acc aliases sendbuf
-    for (std::size_t i = 1; i < g.members.size(); ++i) {
-      const int r = g.members[i];
-      fn(acc + off, static_cast<const std::byte*>(peer_contrib(r)) + off, ne);
+    copy_bytes(a, static_cast<const std::byte*>(peer_contrib(0)) + off,
+               ne * elem_bytes);
+    for (int r = 1; r < n_; ++r) {
+      fn(a, static_cast<const std::byte*>(peer_contrib(r)) + off, ne);
     }
-    for (std::size_t l = 1; l <= top_led; ++l) {
-      Level& lv = plan[l];
-      Group& cell = *lv.groups[static_cast<std::size_t>(
-          lv.group_of[static_cast<std::size_t>(me)])];
-      for (std::size_t i = 1; i < cell.members.size(); ++i) {
-        const int r = cell.members[i];
-        const Slot& s = slots_[static_cast<std::size_t>(r)];
-        wait_seq(s.acc_frag, base + f + 1, ctx);
-        fn(acc + off, static_cast<const std::byte*>(peer_result(r)) + off,
-           ne);
-      }
-    }
-    publish_frag(ctx, my.acc_frag, base + f + 1);
-    // Give consumers a chance to drain published fragments while they are
-    // cache-hot (on cooperative executors this is what realizes the
-    // interleave: a producer that never blocks would otherwise finish the
-    // whole buffer before any consumer runs). Yielding per fragment costs
-    // a full scheduler round trip through every waiting rank, so yields
-    // fire per ~128 KB window instead: fragments stay small enough to keep
-    // the fold's accumulator L1-resident while consumers wake with a
-    // window's worth of L2-hot fragments to batch-copy.
-    if (ystride != 0 && (f + 1) % ystride == 0) ctx.yield();
   }
-  count_frags(geom.nfrags);
-  // Only rank 0 leads every level (leaders are group minima); everyone
-  // else's accumulator was consumed by the cell leader at top_led + 1.
-  return (top_led + 1 == plan.size()) ? acc : nullptr;
+  // This rank has now read its slice of every contribution: publishing
+  // the folded slice also tells each peer it may overwrite that slice of
+  // its own (possibly aliased) recvbuf.
+  my.acc_ptr.store(acc, std::memory_order_relaxed);
+  publish_frag(ctx, my.acc_frag, pub);
+  count_frags(2);
+  return acc;
+}
+
+void ShmCollEngine::gather_slices(ult::TaskContext& ctx, int me,
+                                  std::size_t count, std::size_t elem_bytes,
+                                  std::uint64_t pub, void* recvbuf) {
+  std::byte* out = static_cast<std::byte*>(recvbuf);
+  // Start at the own slice and rotate, so the ranks' reads spread over
+  // different owners instead of all streaming rank 0's slice first.
+  for (int k = 0; k < n_; ++k) {
+    const int r = (me + k) % n_;
+    const auto [lo, hi] = slice_of(r, count);
+    if (lo == hi) continue;
+    const Slot& s = slots_[static_cast<std::size_t>(r)];
+    wait_seq(s.acc_frag, pub, ctx);
+    copy_bytes(out + lo * elem_bytes, peer_result(r), (hi - lo) * elem_bytes);
+  }
 }
 
 const std::byte* ShmCollEngine::publish_staged_pipelined(
@@ -625,18 +585,9 @@ void ShmCollEngine::reduce(ult::TaskContext& ctx, int me, const void* sendbuf,
   const std::size_t bytes = count * elem_bytes;
   const obs::CollAlg alg = select(bytes);
   if (alg == obs::CollAlg::shm_pipelined) {
-    const FragGeom geom = begin_pipelined(count, elem_bytes);
-    const std::uint64_t base = priv_[static_cast<std::size_t>(me)].frag_base;
-    std::byte* acc = plan_reduce_pipelined(
-        ctx, me, sendbuf, count, elem_bytes, fn,
-        (me == 0 && root == 0) ? recvbuf : nullptr);
-    if (me == root && acc == nullptr) {
-      // Non-zero root: drain rank 0's result fragment by fragment while
-      // later fragments are still being reduced.
-      drain_frags(ctx, slots_[0].acc_frag, base, geom, elem_bytes, bytes,
-                  slots_[0].acc_ptr, static_cast<std::byte*>(recvbuf));
-    }
-    priv_[static_cast<std::size_t>(me)].frag_base += geom.nfrags;
+    const std::uint64_t pub = ++priv_[static_cast<std::size_t>(me)].frag_base;
+    reduce_slices(ctx, me, sendbuf, count, elem_bytes, fn, pub);
+    if (me == root) gather_slices(ctx, me, count, elem_bytes, pub, recvbuf);
     plan_barrier(hier_, ctx, me);
     return;
   }
@@ -661,23 +612,11 @@ void ShmCollEngine::allreduce(ult::TaskContext& ctx, int me,
   const std::size_t bytes = count * elem_bytes;
   const obs::CollAlg alg = select(bytes);
   if (alg == obs::CollAlg::shm_pipelined) {
-    // The reduce and bcast phases interleave per fragment: a consumer
-    // copies result fragment f out of rank 0's accumulator as soon as its
-    // per-fragment publication lands, while fragments f+1.. are still
-    // folding up the tree.
-    const FragGeom geom = begin_pipelined(count, elem_bytes);
-    const std::uint64_t base = priv_[static_cast<std::size_t>(me)].frag_base;
-    std::byte* acc = plan_reduce_pipelined(ctx, me, sendbuf, count,
-                                           elem_bytes, fn,
-                                           me == 0 ? recvbuf : nullptr);
-    if (acc == nullptr) {
-      // The acquire on each result fragment chains through every fold
-      // that consumed this rank's sendbuf fragment, so writing recvbuf
-      // fragment f here is safe even when recvbuf aliases sendbuf.
-      drain_frags(ctx, slots_[0].acc_frag, base, geom, elem_bytes, bytes,
-                  slots_[0].acc_ptr, static_cast<std::byte*>(recvbuf));
-    }
-    priv_[static_cast<std::size_t>(me)].frag_base += geom.nfrags;
+    // Every rank folds 1/n of the buffer, then copies the other n-1
+    // folded slices straight out of their owners' scratch.
+    const std::uint64_t pub = ++priv_[static_cast<std::size_t>(me)].frag_base;
+    reduce_slices(ctx, me, sendbuf, count, elem_bytes, fn, pub);
+    gather_slices(ctx, me, count, elem_bytes, pub, recvbuf);
     plan_barrier(hier_, ctx, me);
     return;
   }
@@ -889,26 +828,15 @@ void ShmCollEngine::reduce_scatter_block(ult::TaskContext& ctx, int me,
   const std::size_t block_bytes = count * elem_bytes;
   const obs::CollAlg alg = select(total * elem_bytes);
   if (alg == obs::CollAlg::shm_pipelined) {
-    const FragGeom geom = begin_pipelined(total, elem_bytes);
-    const std::uint64_t base = priv_[static_cast<std::size_t>(me)].frag_base;
-    const std::byte* acc = plan_reduce_pipelined(ctx, me, sendbuf, total,
-                                                 elem_bytes, fn,
-                                                 /*rank0_acc=*/nullptr);
-    if (acc == nullptr) {
-      // Wait only for the fragments covering this rank's block — low
-      // ranks' blocks complete earliest, so the scatter itself pipelines.
-      const std::size_t last_elem =
-          static_cast<std::size_t>(me) * count + count - 1;
-      const std::uint32_t fl =
-          static_cast<std::uint32_t>(last_elem / geom.frag_elems);
-      const Slot& s0 = slots_[0];
-      wait_seq(s0.acc_frag, base + fl + 1, ctx);
-      acc = static_cast<const std::byte*>(peer_result(0));
-    }
-    copy_bytes(recvbuf, acc + static_cast<std::size_t>(me) * block_bytes,
-               block_bytes);
-    priv_[static_cast<std::size_t>(me)].frag_base += geom.nfrags;
+    // Slice r of the total is exactly block r: each rank folds only the
+    // block it keeps.
+    const std::uint64_t pub = ++priv_[static_cast<std::size_t>(me)].frag_base;
+    const std::byte* mine =
+        reduce_slices(ctx, me, sendbuf, total, elem_bytes, fn, pub);
+    // recvbuf may alias sendbuf, which peers read until they arrive at
+    // the completion barrier; the block lands after it.
     plan_barrier(hier_, ctx, me);
+    copy_bytes(recvbuf, mine, block_bytes);
     return;
   }
   Plan& plan = plan_for(alg);

@@ -20,7 +20,8 @@
 //    leaders combine upward along the topology tree, and rank 0 publishes
 //    the result. Folding in ascending rank order with the accumulator as
 //    the left operand means only associativity is required of the
-//    ReduceFn — never commutativity.
+//    ReduceFn — never commutativity. Pipelined-size reductions fold in
+//    rank slices instead (below).
 //  - allgather/alltoall: every rank publishes its send buffer and copies
 //    each peer's block directly, replacing the rank-0 gather+bcast funnel.
 //  - scan/exscan: each rank publishes a staged copy (staging makes
@@ -43,27 +44,37 @@
 // An algorithm selector picks per call: payloads <= small_threshold take
 // the staged flat path (one copy through an inline slot, flat completion
 // barrier); mid-size payloads go zero-copy under the hierarchical barrier;
-// payloads above pipeline_threshold take the *pipelined* path — XHC-style
-// data-wise pipelining, where the buffer is split into cache-friendly
-// fragments and every slot carries per-fragment publication counts next to
-// the per-call sequence word. A leaf leader folds fragment k across its
-// group and release-publishes it the moment it is complete, so the cell
-// leader one level up forwards fragment k while the leaf is still folding
-// fragment k+1; inside allreduce the consumers likewise copy result
-// fragment k out of rank 0's accumulator while later fragments are still
-// being reduced — reduce and bcast interleave per fragment instead of
-// running back-to-back. Fragment publication counts are *absolute*: every
-// pipelined call advances a private frag_base by its fragment count on
-// every rank (MPI's matched-call ordering keeps the bases in lockstep),
-// and fragment f of a call is published as frag_base + f + 1, so the
-// values a slot's fragment words take are monotone across calls even
-// though only some ranks physically publish in any one call — which is
-// what keeps wait_seq's `>=` comparison safe on lagging slots (DESIGN.md
-// §13 gives the full argument).
+// payloads above pipeline_threshold take the *pipelined* path.
+//
+// Pipelined reductions are slice-parallel, so every core folds: each
+// rank publishes its whole send buffer once, rank s folds elements
+// [count·s/n, count·(s+1)/n) of every contribution in ascending rank
+// order (accumulator on the left) into its private scratch, and
+// release-publishes the folded slice. allreduce copies all n slices,
+// reduce's root does the same, and reduce_scatter_block keeps its own
+// slice, which is exactly its block. In-place calls are safe because a
+// rank overwrites slice r of its recvbuf only after acquiring rank r's
+// slice, and rank r publishes only after reading slice r of every
+// contribution (reduce_scatter_block writes its block after the
+// completion barrier instead).
+//
+// The other pipelined ops (bcast, allgather, scan, exscan) use XHC-style
+// data-wise pipelining: the buffer is split into cache-friendly
+// fragments, and a producer release-publishes fragment k the moment it
+// is ready while consumers copy (or, for scan, fold) earlier fragments.
+// Fragment publication counts are *absolute*: every pipelined call
+// advances a private frag_base by its fragment count on every rank
+// (MPI's matched-call ordering keeps the bases in lockstep; a
+// slice-parallel reduction counts as one fragment), and fragment f of a
+// call is published as frag_base + f + 1, so the values a slot's
+// fragment words take are monotone across calls even though only some
+// ranks physically publish in any one call — which is what keeps
+// wait_seq's `>=` comparison safe on lagging slots (DESIGN.md §13 gives
+// the full argument).
 //
 // A per-rank registration cache (8-way, LRU) maps (buffer, count,
 // elem_bytes) to the resolved fragment geometry plus a stable attach
-// block (the accumulator / staging storage for that buffer), so repeated
+// block (scan/exscan's staging storage for that buffer), so repeated
 // collectives on the same buffers skip re-resolution and reuse
 // cache-warm storage. Entries are tagged with the CPU they were resolved
 // on and flushed wholesale when the rank migrates (same discipline as the
@@ -78,6 +89,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "mpi/transport.hpp"
@@ -183,7 +195,8 @@ class ShmCollEngine {
     std::atomic<const void*> ptr{nullptr};
     std::byte pad0[64 - 2 * sizeof(void*)];
     // Result channel: this rank's accumulator (tree reduction partials
-    // ascending the tree; rank 0's slot carries the final result).
+    // ascending the tree, rank 0's slot carrying the final result; or
+    // this rank's folded slice on the pipelined path).
     std::atomic<std::uint64_t> acc_seq{0};
     std::atomic<const void*> acc_ptr{nullptr};
     std::byte pad1[64 - 2 * sizeof(void*)];
@@ -236,7 +249,7 @@ class ShmCollEngine {
   struct alignas(64) Priv {
     std::uint64_t seq = 0;            ///< collectives entered on this comm
     std::uint64_t acks_expected = 0;  ///< cumulative acks owed as bcast root
-    std::vector<std::byte> scratch;   ///< accumulator / staging, grows only
+    std::vector<std::byte> scratch;   ///< accumulator / slice / staging, grows only
     /// Base of this rank's fragment numbering: advanced by the fragment
     /// count of every pipelined call (by every rank, published or not),
     /// so the bases stay in lockstep and fragment words stay monotone.
@@ -319,15 +332,26 @@ class ShmCollEngine {
                    std::uint64_t base, const FragGeom& geom,
                    std::size_t elem_bytes, std::size_t bytes,
                    const std::atomic<const void*>& srcp, std::byte* dst);
-  /// Fragmented tree reduction over the hierarchical plan: non-leaders
-  /// publish their buffer zero-copy with all fragments at once; leaders
-  /// fold and release-publish per fragment, interleaving tree levels.
-  /// Returns the final accumulator on rank 0, nullptr elsewhere. Callers
-  /// advance frag_base and run the completion barrier.
-  std::byte* plan_reduce_pipelined(ult::TaskContext& ctx, int me,
-                                   const void* sendbuf, std::size_t count,
-                                   std::size_t elem_bytes, const ReduceFn& fn,
-                                   void* rank0_acc);
+  /// Element range [lo, hi) of `count` that rank r folds on the
+  /// pipelined path: [count·r/n, count·(r+1)/n).
+  std::pair<std::size_t, std::size_t> slice_of(int r, std::size_t count) const;
+  /// Slice-parallel reduction: publish `sendbuf` on the contribution
+  /// channel, fold this rank's slice of every contribution into its
+  /// scratch in ascending rank order, and publish the folded slice on the
+  /// result channel. Both publications carry `pub` (the caller's advanced
+  /// frag_base). Returns the folded slice; it stays put until the caller's
+  /// completion barrier.
+  const std::byte* reduce_slices(ult::TaskContext& ctx, int me,
+                                 const void* sendbuf, std::size_t count,
+                                 std::size_t elem_bytes, const ReduceFn& fn,
+                                 std::uint64_t pub);
+  /// Copy all n folded slices of publication `pub` into `recvbuf`, each
+  /// only after acquiring its owner's publication — which is what makes an
+  /// aliased recvbuf safe: the owner published after reading its slice of
+  /// this rank's contribution.
+  void gather_slices(ult::TaskContext& ctx, int me, std::size_t count,
+                     std::size_t elem_bytes, std::uint64_t pub,
+                     void* recvbuf);
   /// Fragment-wise staged publication for scan/exscan: stages `sendbuf`
   /// into the buffer's registration block fragment by fragment, publishing
   /// each as it lands. Returns the staged base pointer.
@@ -338,7 +362,8 @@ class ShmCollEngine {
   /// Entry bookkeeping shared by every pipelined op body: bumps the
   /// pipelined-call stat and returns the geometry. The body reads its
   /// frag_base before publishing and advances it by nfrags once its own
-  /// waits are issued (every rank advances, published or not).
+  /// waits are issued (every rank advances, published or not); a slice
+  /// reduction advances it by 1 at entry and publishes the new value.
   FragGeom begin_pipelined(std::size_t count, std::size_t elem_bytes);
 
   int n_;

@@ -58,8 +58,10 @@ struct TransportStats {
   /// Collective calls that took the fragmented pipelined large-message
   /// path (one per rank entering such a call).
   std::atomic<std::uint64_t> shm_pipelined_collectives{0};
-  /// Fragments published by the pipelined path (contribution and result
-  /// channels combined).
+  /// Release-publications on the pipelined path's fragment words
+  /// (contribution and result channels combined): one per published
+  /// fragment, or one for a whole buffer or folded slice published at
+  /// once.
   std::atomic<std::uint64_t> shm_fragments{0};
   /// Registration-cache outcomes: a hit means the (buffer, length) pair's
   /// fragment geometry and attach block were reused from the per-rank

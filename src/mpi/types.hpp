@@ -152,39 +152,90 @@ struct CollConfig {
   /// under the hierarchical barrier. Must agree across ranks (it is
   /// per-runtime, so it does).
   std::size_t small_threshold = 1024;
-  /// Payloads strictly above this many bytes take the pipelined path:
-  /// buffers are split into `fragment_bytes` fragments with per-fragment
-  /// release-publish sequence numbers, so leaders forward fragment k up
-  /// the topology tree while children still produce fragment k+1 and the
-  /// reduce and bcast phases of allreduce interleave per fragment.
-  /// SIZE_MAX restores the PR 5 two-way selector (and the
+  /// Payloads strictly above this many bytes take the pipelined path.
+  /// Reductions there are slice-parallel: rank s folds elements
+  /// [count·s/n, count·(s+1)/n) of every rank's buffer in rank order and
+  /// publishes the folded slice, so all n cores fold and the result is
+  /// gathered slice by slice. bcast, allgather and scan/exscan split
+  /// buffers into `fragment_bytes` fragments with per-fragment
+  /// release-publish sequence numbers, so consumers copy fragment k
+  /// while the producer still works on fragment k+1.
+  /// SIZE_MAX restores the two-way staged/zero-copy selector (and the
   /// HLSMPC_COLL_PIPELINE=OFF build forces exactly that). The staged arm
-  /// wins ties: bytes <= small_threshold is checked first. The default
-  /// selects pipelining only where fragment-sized working sets beat the
-  /// monolithic fold's cache behaviour: below ~256 KB per rank the whole
-  /// collective already fits in L2 on current parts and the two paths
-  /// measure even, so the crossover sits past that point.
+  /// wins ties: bytes <= small_threshold is checked first. Below ~256 KB
+  /// per rank the whole collective fits in L2 on current parts and the
+  /// arms measure even, so the crossover sits past that point.
   std::size_t pipeline_threshold = 256 * 1024;
   /// Fragment granularity of the pipelined path (clamped to >= 1 element).
-  /// Cache-friendly sizes (8–64KB) keep a fragment plus its accumulator
-  /// resident in L1/L2 across the whole tree fold; 32 KB measured best on
-  /// the multi-megabyte payloads the selector sends here.
+  /// Cache-friendly sizes (8–64KB) keep a piece of the accumulator
+  /// resident in L1/L2 while a slice folds all n inputs into it; 32 KB
+  /// measured best on the multi-megabyte payloads the selector sends here.
   std::size_t fragment_bytes = 32 * 1024;
-  /// Yield the producing task periodically while publishing result
-  /// fragments (once per ~128 KB window, not per fragment — a yield is a
-  /// full scheduler round trip through every waiting rank). On
+  /// Yield the producing task periodically while publishing staged
+  /// scan/exscan fragments (once per ~128 KB window, not per fragment —
+  /// a yield is a full scheduler round trip through every waiting
+  /// rank). On
   /// cooperative (fiber) executors this is what makes the pipeline real:
   /// consumers batch-drain a window of fragments while they are still
   /// cache-hot instead of after the producer finished the entire buffer.
   bool pipeline_yield = true;
 };
 
+namespace detail {
+
+/// `a[i] = f(a[i], b[i])` with `f` fixed at compile time: a straight-line
+/// loop the compiler vectorizes, unlike one that switches per element.
+template <typename T, typename F>
+void fold_with(T* a, const T* b, std::size_t count, F f) {
+  for (std::size_t i = 0; i < count; ++i) a[i] = f(a[i], b[i]);
+}
+
+}  // namespace detail
+
+/// The ReduceFn of a built-in op on T. It dispatches on `op` once per call,
+/// then folds with one of the loops below; each computes exactly what
+/// apply_op computes element by element, and a bitwise op on a
+/// non-integral T throws on the same calls (any with count > 0).
 template <typename T>
 ReduceFn make_reduce_fn(Op op) {
   return [op](void* inout, const void* in, std::size_t count) {
     T* a = static_cast<T*>(inout);
     const T* b = static_cast<const T*>(in);
-    for (std::size_t i = 0; i < count; ++i) apply_op(op, a[i], b[i]);
+    switch (op) {
+      case Op::sum:
+        return detail::fold_with(
+            a, b, count, [](T x, T y) { return static_cast<T>(x + y); });
+      case Op::prod:
+        return detail::fold_with(
+            a, b, count, [](T x, T y) { return static_cast<T>(x * y); });
+      case Op::min:
+        return detail::fold_with(a, b, count,
+                                 [](T x, T y) { return y < x ? y : x; });
+      case Op::max:
+        return detail::fold_with(a, b, count,
+                                 [](T x, T y) { return x < y ? y : x; });
+      case Op::land:
+        return detail::fold_with(
+            a, b, count, [](T x, T y) { return static_cast<T>(x && y); });
+      case Op::lor:
+        return detail::fold_with(
+            a, b, count, [](T x, T y) { return static_cast<T>(x || y); });
+      case Op::band:
+        if constexpr (std::is_integral_v<T>) {
+          return detail::fold_with(
+              a, b, count, [](T x, T y) { return static_cast<T>(x & y); });
+        }
+        break;
+      case Op::bor:
+        if constexpr (std::is_integral_v<T>) {
+          return detail::fold_with(
+              a, b, count, [](T x, T y) { return static_cast<T>(x | y); });
+        }
+        break;
+    }
+    if (count != 0) {
+      throw MpiError("apply_op: bitwise op on non-integral type");
+    }
   };
 }
 

@@ -868,7 +868,7 @@ TEST(CollShmEngine, PipelinedStatsCountCallsAndFragments) {
   o.coll.fragment_bytes = 2048;
   mpi::Runtime rt(m, o);
   ASSERT_NE(rt.world().shm_engine(), nullptr);
-  constexpr std::size_t kCount = 1000;  // 16000 B: pipelined, 8 fragments
+  constexpr std::size_t kCount = 1000;  // 16000 B: pipelined
   std::atomic<int> bad{0};
   rt.run([&](mpi::Comm& world, TaskContext& ctx) {
     const int me = world.rank(ctx);
@@ -882,10 +882,9 @@ TEST(CollShmEngine, PipelinedStatsCountCallsAndFragments) {
   EXPECT_EQ(
       rt.stats().shm_pipelined_collectives.load(std::memory_order_relaxed),
       8u);
-  // Every rank publishes its 8 fragments on one channel or the other
-  // (contributions for non-leaders, accumulator fragments for leaders), so
-  // the fragment count is exactly ranks x fragments.
-  EXPECT_EQ(rt.stats().shm_fragments.load(std::memory_order_relaxed), 64u);
+  // Every rank publishes its whole contribution once and its folded slice
+  // once, so the count is exactly ranks x 2 = 16.
+  EXPECT_EQ(rt.stats().shm_fragments.load(std::memory_order_relaxed), 16u);
 }
 
 TEST(CollShmEngine, RegistrationCacheReusesResolvedBuffers) {

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <numeric>
+#include <random>
+#include <type_traits>
 #include <vector>
 
 #include "mpi/runtime.hpp"
@@ -684,6 +690,98 @@ TEST(Mpi, AllreduceCustomOperator) {
     if (out.rank != 2 || out.value != 100.0) ++bad;
   });
   EXPECT_EQ(bad.load(), 0);
+}
+
+namespace {
+
+// Operand values for the fold conformance sweep. Signed integers stay in
+// a range where one sum or product cannot overflow; floats include the
+// signed zeros, infinities and a NaN, where min/max/land/lor are touchiest.
+template <typename T>
+std::vector<T> fold_operands(std::size_t count, std::uint64_t seed) {
+  std::mt19937_64 gen(seed);
+  std::vector<T> v(count);
+  for (T& x : v) {
+    const std::uint64_t r = gen();
+    if constexpr (std::is_floating_point_v<T>) {
+      constexpr T kSpecial[] = {T{0},
+                                -T{0},
+                                T{1},
+                                std::numeric_limits<T>::infinity(),
+                                -std::numeric_limits<T>::infinity(),
+                                std::numeric_limits<T>::quiet_NaN()};
+      x = (r % 4 == 0) ? kSpecial[(r >> 8) % std::size(kSpecial)]
+                       : static_cast<T>(static_cast<std::int64_t>(r >> 40) -
+                                        (std::int64_t{1} << 23)) /
+                             T{64};
+    } else if constexpr (std::is_signed_v<T>) {
+      x = static_cast<T>(static_cast<std::int64_t>(r % 60001) - 30000);
+      if (r % 7 == 0) x = 0;
+    } else {
+      x = static_cast<T>(r % 3 == 0 ? 0 : r);
+    }
+  }
+  return v;
+}
+
+// make_reduce_fn<T>(op) against a per-element apply_op reference: the
+// same bytes, or an MpiError on exactly the same calls.
+template <typename T>
+int fold_mismatches(mpi::Op op, std::size_t count, std::uint64_t seed) {
+  const std::vector<T> in = fold_operands<T>(count, seed);
+  std::vector<T> want = fold_operands<T>(count, seed + 1);
+  std::vector<T> got = want;
+  bool want_threw = false;
+  bool got_threw = false;
+  try {
+    for (std::size_t i = 0; i < count; ++i) mpi::apply_op(op, want[i], in[i]);
+  } catch (const mpi::MpiError&) {
+    want_threw = true;
+  }
+  try {
+    mpi::make_reduce_fn<T>(op)(got.data(), in.data(), count);
+  } catch (const mpi::MpiError&) {
+    got_threw = true;
+  }
+  if (want_threw != got_threw) return 1;
+  if (want_threw || count == 0) return 0;
+  return std::memcmp(want.data(), got.data(), count * sizeof(T)) == 0 ? 0 : 1;
+}
+
+template <typename T>
+int fold_sweep() {
+  int bad = 0;
+  for (const mpi::Op op :
+       {mpi::Op::sum, mpi::Op::prod, mpi::Op::min, mpi::Op::max,
+        mpi::Op::land, mpi::Op::lor, mpi::Op::band, mpi::Op::bor}) {
+    const auto seed = static_cast<std::uint64_t>(op) * 1000;
+    for (std::size_t count = 0; count <= 67; ++count) {
+      bad += fold_mismatches<T>(op, count, seed + count);
+    }
+    bad += fold_mismatches<T>(op, (std::size_t{1} << 20) / sizeof(T), seed);
+  }
+  return bad;
+}
+
+}  // namespace
+
+TEST(Mpi, ReduceFnMatchesApplyOpBitForBit) {
+  EXPECT_EQ(fold_sweep<std::int32_t>(), 0);
+  EXPECT_EQ(fold_sweep<std::uint64_t>(), 0);
+  EXPECT_EQ(fold_sweep<float>(), 0);
+  EXPECT_EQ(fold_sweep<double>(), 0);
+}
+
+TEST(Mpi, ReduceFnBitwiseOnFloatingThrowsLikeApplyOp) {
+  // Construction never throws; a call throws iff it folds an element.
+  for (const mpi::Op op : {mpi::Op::band, mpi::Op::bor}) {
+    const mpi::ReduceFn fn = mpi::make_reduce_fn<double>(op);
+    double a = 1.0;
+    const double b = 2.0;
+    EXPECT_NO_THROW(fn(&a, &b, 0));
+    EXPECT_THROW(fn(&a, &b, 1), mpi::MpiError);
+    EXPECT_THROW(mpi::apply_op(op, a, b), mpi::MpiError);
+  }
 }
 
 TEST(Mpi, SplitOfSplitWorks) {

@@ -437,9 +437,11 @@ TEST(RmaObs, CountersAndEpisodesRecorded) {
       win.put(ctx, me, buf, 48, 1, 0);
       win.get(ctx, me, buf, 32, 1, 16);
     } else {
+      // Bytes [48, 64): disjoint from rank 0's put and get in the same
+      // epoch, which the exclusive lock does not serialize against.
       const Mat m = contrib(1, 0);
       win.lock(ctx, me, rma::LockKind::exclusive, 1);
-      win.accumulate(ctx, me, &m, 1, sizeof(Mat), mat_fn(), 1, 32);
+      win.accumulate(ctx, me, &m, 1, sizeof(Mat), mat_fn(), 1, 48);
       win.unlock(ctx, me, 1);
     }
     win.fence(ctx, me);
