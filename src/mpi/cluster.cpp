@@ -157,15 +157,16 @@ ClusterComm::ClusterComm(SimCluster& cluster)
       rpn_(cluster.ranks_per_node()),
       nranks_(cluster.nranks()),
       coll_seq_(static_cast<std::size_t>(cluster.nranks()), 0),
+      fold_scratch_(static_cast<std::size_t>(cluster.nnodes())),
       shrink_round_timeout_(cluster.options().shrink_round_timeout) {
   node_world_.reserve(static_cast<std::size_t>(nnodes_));
   for (int n = 0; n < nnodes_; ++n) {
     node_world_.push_back(&cluster.node_runtime(n).world());
   }
-  auto v = std::make_shared<View>();
+  auto v = std::make_unique<View>();
   v->live.resize(static_cast<std::size_t>(nnodes_));
   std::iota(v->live.begin(), v->live.end(), 0);
-  view_ = std::move(v);
+  publish_view(std::move(v));
   gate_ = std::make_unique<GateSlot[]>(static_cast<std::size_t>(nnodes_));
 #if HLSMPC_OBS_ENABLED
   obs_ = cluster.obs();
@@ -177,6 +178,11 @@ Comm& ClusterComm::node_comm(int node) const {
     throw MpiError("node_comm: bad node " + std::to_string(node));
   }
   return *node_world_[static_cast<std::size_t>(node)];
+}
+
+void ClusterComm::publish_view(std::unique_ptr<View> v) {
+  view_.store(v.get(), std::memory_order_release);
+  views_.push_back(std::move(v));
 }
 
 int ClusterComm::pos_of(const View& v, int node) {
@@ -238,7 +244,7 @@ void ClusterComm::send(ult::TaskContext& ctx, const void* buf,
   }
   const int me = rank(ctx);
   Request r = fabric_->isend(ctx, me, dst, dst, buf, bytes, tag, kP2pContext);
-  transport_wait(ctx, r);
+  transport_wait(ctx, r, nullptr, obs_);
 #if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) obs_->count(me, obs::Counter::net_sends);
 #endif
@@ -254,7 +260,7 @@ void ClusterComm::recv(ult::TaskContext& ctx, void* buf, std::size_t capacity,
   }
   const int me = rank(ctx);
   Request r = fabric_->irecv(ctx, me, buf, capacity, src, tag, kP2pContext);
-  transport_wait(ctx, r, status);
+  transport_wait(ctx, r, status, obs_);
 #if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) obs_->count(me, obs::Counter::net_recvs);
 #endif
@@ -267,7 +273,7 @@ bool ClusterComm::coll_send(ult::TaskContext& ctx, int g_me, int dst_g,
   try {
     Request r =
         fabric_->isend(ctx, g_me, dst_g, dst_g, buf, bytes, tag, kCollContext);
-    transport_wait(ctx, r);
+    transport_wait(ctx, r, nullptr, obs_);
   } catch (const NodeDeadError& e) {
     // Re-arm the episode poison when the failure names a node that died
     // in an EARLIER, already-healed episode (kill_node re-poisons then;
@@ -293,7 +299,7 @@ bool ClusterComm::coll_recv(ult::TaskContext& ctx, int g_me, int src_g,
   try {
     Request r = fabric_->irecv(ctx, g_me, buf, capacity, src_g, tag,
                                kCollContext);
-    transport_wait(ctx, r);
+    transport_wait(ctx, r, nullptr, obs_);
   } catch (const NodeDeadError& e) {
     fabric_->kill_node(e.node());
     return false;
@@ -319,10 +325,10 @@ bool ClusterComm::leader_fold(ult::TaskContext& ctx, int pos, const View& v,
   // live[0]'s leader — is the exact ascending-global-rank fold over the
   // surviving contributions.
   const int npos = static_cast<int>(v.live.size());
-  const int g_me = leader_of(v.live[static_cast<std::size_t>(pos)]);
+  const int node = v.live[static_cast<std::size_t>(pos)];
+  const int g_me = leader_of(node);
   const std::size_t bytes = count * elem_bytes;
   bool ok = true;
-  std::vector<std::byte> partner(bytes);
   for (int mask = 1; mask < npos; mask <<= 1) {
     if ((pos & mask) != 0) {
       const int dst = v.live[static_cast<std::size_t>(pos - mask)];
@@ -334,6 +340,9 @@ bool ClusterComm::leader_fold(ult::TaskContext& ctx, int pos, const View& v,
     const int src_pos = pos + mask;
     if (src_pos < npos) {
       const int src = v.live[static_cast<std::size_t>(src_pos)];
+      std::vector<std::byte>& partner =
+          fold_scratch_[static_cast<std::size_t>(node)];
+      if (partner.size() < bytes) partner.resize(bytes);
       if (coll_recv(ctx, g_me, leader_of(src), partner.data(), bytes, tag)) {
         fn(acc, partner.data(), count);
       } else {
@@ -594,13 +603,14 @@ void ClusterComm::allgather(ult::TaskContext& ctx, const void* sendbuf,
 void ClusterComm::install_view(std::uint64_t expected_epoch,
                                std::uint64_t dead_mask) {
   std::lock_guard<std::mutex> lk(view_mu_);
-  if (view_->epoch != expected_epoch) return;  // another leader won
-  auto v = std::make_shared<View>();
+  const View* cur = snapshot_view();
+  if (cur->epoch != expected_epoch) return;  // another leader won
+  auto v = std::make_unique<View>();
   v->epoch = expected_epoch + 1;
-  for (int n : view_->live) {
+  for (int n : cur->live) {
     if ((dead_mask >> n & 1u) == 0) v->live.push_back(n);
   }
-  view_ = std::move(v);
+  publish_view(std::move(v));
 }
 
 ShrinkReport ClusterComm::shrink(ult::TaskContext& ctx) {
@@ -703,12 +713,11 @@ ShrinkReport ClusterComm::shrink(ult::TaskContext& ctx) {
 
 void ClusterComm::readmit(int node) {
   std::lock_guard<std::mutex> lk(view_mu_);
-  auto v = std::make_shared<View>();
-  v->epoch = view_->epoch + 1;
-  v->live = view_->live;
+  auto v = std::make_unique<View>(*snapshot_view());
+  ++v->epoch;
   const auto it = std::lower_bound(v->live.begin(), v->live.end(), node);
   if (it == v->live.end() || *it != node) v->live.insert(it, node);
-  view_ = std::move(v);
+  publish_view(std::move(v));
   // The respawned node's runtime is brand new — rebind its world comm.
   node_world_[static_cast<std::size_t>(node)] =
       &cluster_->node_runtime(node).world();

@@ -118,8 +118,7 @@ class ClusterComm {
   /// Ranks currently in the job: live nodes times ranks_per_node (the
   /// full world while nothing died; shrinks after a recovery).
   int size() const {
-    std::lock_guard<std::mutex> lk(view_mu_);
-    return static_cast<int>(view_->live.size()) * rpn_;
+    return static_cast<int>(snapshot_view()->live.size()) * rpn_;
   }
   int nnodes() const { return nnodes_; }
   int ranks_per_node() const { return rpn_; }
@@ -135,15 +134,9 @@ class ClusterComm {
   /// First node observed unreachable, or -1 while all are alive.
   int first_dead_node() const { return fabric_->first_dead_node(); }
   /// Epoch of the current live view (bumped by shrink() and readmit()).
-  std::uint64_t view_epoch() const {
-    std::lock_guard<std::mutex> lk(view_mu_);
-    return view_->epoch;
-  }
+  std::uint64_t view_epoch() const { return snapshot_view()->epoch; }
   /// Member nodes of the current live view, ascending.
-  std::vector<int> live_nodes() const {
-    std::lock_guard<std::mutex> lk(view_mu_);
-    return view_->live;
-  }
+  std::vector<int> live_nodes() const { return snapshot_view()->live; }
 
   // ---- global point to point (global ranks, over the fabric) ----
   void send(ult::TaskContext& ctx, const void* buf, std::size_t bytes,
@@ -227,10 +220,14 @@ class ClusterComm {
     std::atomic<std::uint32_t> reset_gen{0};
   };
 
-  std::shared_ptr<const View> snapshot_view() const {
-    std::lock_guard<std::mutex> lk(view_mu_);
-    return view_;
+  /// The current view: one acquire load, taken by every rank at every
+  /// collective's entry. Published views stay alive as long as the
+  /// communicator, so a snapshot never dangles.
+  const View* snapshot_view() const {
+    return view_.load(std::memory_order_acquire);
   }
+  /// Make `v` the current view. Callers hold view_mu_ (or construct).
+  void publish_view(std::unique_ptr<View> v);
   /// Position of `node` in the view's live list, or -1 when excluded.
   static int pos_of(const View& v, int node);
   /// Fused node gate: local barrier, local rank 0 publishes the fabric's
@@ -277,8 +274,13 @@ class ClusterComm {
   int rpn_ = 0;
   int nranks_ = 0;
   std::vector<std::uint32_t> coll_seq_;  // per global rank
-  mutable std::mutex view_mu_;
-  std::shared_ptr<const View> view_;
+  /// Receive buffer of each node leader's leader_fold, grown on demand and
+  /// kept across calls. Indexed by node, not thread_local: the fiber
+  /// executor runs several leaders on one kernel thread.
+  std::vector<std::vector<std::byte>> fold_scratch_;
+  std::mutex view_mu_;  // serializes view changes (shrink, readmit)
+  std::vector<std::unique_ptr<const View>> views_;  // all ever published
+  std::atomic<const View*> view_{nullptr};
   std::unique_ptr<GateSlot[]> gate_;
   std::chrono::milliseconds shrink_round_timeout_{2000};
   obs::Recorder* obs_ = nullptr;

@@ -75,12 +75,10 @@ Request Comm::irecv(ult::TaskContext& ctx, void* buf, std::size_t capacity,
 void Comm::wait(ult::TaskContext& ctx, Request& req, Status* status) {
   auto st = req.state();
   if (!st) throw MpiError("wait: invalid request");
-  {
-    std::unique_lock<std::mutex> lk(st->mu);
-    ult::wait_until(ctx, lk, st->cv, [&] { return st->done; });
-    if (!st->error.empty()) throw MpiError(st->error);
-    if (status != nullptr) *status = st->status;
-  }
+  await_request(ctx, *st, std::chrono::steady_clock::time_point::max(),
+                rt_->obs());
+  if (!st->error.empty()) throw MpiError(st->error);
+  if (status != nullptr) *status = st->status;
   if (st->trace_is_recv && st->status.source >= 0) {
     if (TraceHook* hook = rt_->trace_hook()) {
       hook->on_recv(ctx.task_id(), global_task(st->status.source),
@@ -110,18 +108,10 @@ int Comm::waitany(ult::TaskContext& ctx, std::span<Request> reqs,
   if (!any_valid) throw MpiError("waitany: no active requests");
   while (true) {
     for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (!reqs[i].valid()) continue;
-      auto st = reqs[i].state();
-      bool done;
-      {
-        std::lock_guard<std::mutex> lk(st->mu);
-        done = st->done;
-        if (done && !st->error.empty()) throw MpiError(st->error);
-        if (done && status != nullptr) *status = st->status;
-      }
-      if (done) {
-        // Route through wait() for the tracing side effects.
-        wait(ctx, reqs[i]);
+      if (reqs[i].valid() &&
+          reqs[i].state()->done.load(std::memory_order_acquire)) {
+        // wait() returns at once; it rethrows and traces.
+        wait(ctx, reqs[i], status);
         return static_cast<int>(i);
       }
     }
@@ -130,10 +120,9 @@ int Comm::waitany(ult::TaskContext& ctx, std::span<Request> reqs,
 }
 
 bool Comm::test(Request& req, Status* status) {
-  auto st = req.state();
+  const auto& st = req.state();
   if (!st) throw MpiError("test: invalid request");
-  std::lock_guard<std::mutex> lk(st->mu);
-  if (!st->done) return false;
+  if (!st->done.load(std::memory_order_acquire)) return false;
   if (!st->error.empty()) throw MpiError(st->error);
   if (status != nullptr) *status = st->status;
   return true;

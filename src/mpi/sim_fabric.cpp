@@ -381,53 +381,4 @@ void SimFabricTransport::flap_link(int node, int ops) {
       ops, std::memory_order_release);
 }
 
-void transport_wait(ult::TaskContext& ctx, Request& req, Status* status) {
-  auto st = req.state();
-  if (!st) throw MpiError("transport_wait: invalid request");
-  std::unique_lock<std::mutex> lk(st->mu);
-  ult::wait_until(ctx, lk, st->cv, [&] { return st->done; });
-  if (!st->error.empty()) {
-    if (st->error_node >= 0) throw NodeDeadError(st->error_node, st->error);
-    throw MpiError(st->error);
-  }
-  if (status != nullptr) *status = st->status;
-  lk.unlock();
-  req.state().reset();
-}
-
-bool transport_wait_for(ult::TaskContext& ctx, Request& req,
-                        std::chrono::milliseconds timeout, Status* status) {
-  auto st = req.state();
-  if (!st) throw MpiError("transport_wait_for: invalid request");
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  std::unique_lock<std::mutex> lk(st->mu);
-  if (ctx.cooperative()) {
-    // Deterministic executors own the interleaving: poll-and-yield, with
-    // the wall clock only bounding a genuinely silent peer (in the
-    // simulated fabric a death error-completes the request promptly, so
-    // this deadline never fires under exploration).
-    while (!st->done) {
-      if (std::chrono::steady_clock::now() >= deadline) return false;
-      lk.unlock();
-      ctx.yield();
-      lk.lock();
-    }
-  } else {
-    while (!st->done) {
-      if (st->cv.wait_until(lk, deadline) == std::cv_status::timeout &&
-          !st->done) {
-        return false;
-      }
-    }
-  }
-  if (!st->error.empty()) {
-    if (st->error_node >= 0) throw NodeDeadError(st->error_node, st->error);
-    throw MpiError(st->error);
-  }
-  if (status != nullptr) *status = st->status;
-  lk.unlock();
-  req.state().reset();
-  return true;
-}
-
 }  // namespace hlsmpc::mpi

@@ -160,7 +160,10 @@ TcpTransport::TcpTransport(Options opts) : opts_(std::move(opts)) {
   if (::pipe(wake_pipe_) != 0) {
     throw MpiError("TcpTransport: wake pipe creation failed");
   }
-  receiver_ = std::thread([this] { receiver_loop(); });
+  receiver_ = std::thread([this] {
+    const ult::ThreadCensus census(1);
+    receiver_loop();
+  });
 }
 
 TcpTransport::~TcpTransport() {

@@ -11,12 +11,13 @@
 // {src, tag, context, bytes} followed by the payload.
 //
 // A background receiver thread polls all peer sockets and feeds the local
-// matching engine, completing RequestStates directly (both executor back
-// ends already wait through ult::wait_until, so a completion from a
-// foreign thread is the normal case, exactly like a peer rank's thread in
-// the shm transport). Sends are synchronous full writes under a per-peer
-// mutex: a completed send means the bytes entered the kernel's buffer
-// (buffered-send semantics, same contract as the other transports).
+// matching engine, completing RequestStates directly (every wait goes
+// through await_request, so a completion from a foreign thread is the
+// normal case, exactly like a peer rank's thread in the shm transport).
+// The receiver holds a ult::ThreadCensus entry while it runs. Sends are
+// synchronous full writes under a per-peer mutex: a completed send means
+// the bytes entered the kernel's buffer (buffered-send semantics, same
+// contract as the other transports).
 //
 // Dead-node detection: EOF or a connection error on the socket of node n
 // (a SIGKILLed peer process closes its sockets; a dead host resets) marks

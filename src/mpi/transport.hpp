@@ -12,8 +12,9 @@
 //   - irecv returns a Request completed by whichever side performs the
 //     match; Status carries (source, tag, bytes).
 //   - Matching is non-overtaking per (source, tag, context).
-//   - Completion is signalled through RequestState's mutex/cv, so waiting
-//     composes with ult::wait_until on every executor back end.
+//   - Completion is signalled through RequestState's `done` flag and
+//     mutex/cv, and every wait goes through await_request below, which
+//     serves every executor back end.
 //
 // Implementations:
 //   - ShmTransport (shm_transport.hpp): the intra-node engine; endpoints
@@ -35,6 +36,10 @@
 #include "fault/error.hpp"
 #include "mpi/types.hpp"
 #include "ult/task_context.hpp"
+
+namespace hlsmpc::obs {
+class Recorder;
+}  // namespace hlsmpc::obs
 
 namespace hlsmpc::mpi {
 
@@ -161,11 +166,26 @@ class Transport {
   TransportStats stats_;
 };
 
+/// The one wait behind every Request completion: transport_wait,
+/// transport_wait_for and Comm::wait (Comm::waitany and Comm::test read
+/// the same `done` flag). Returns true once `st` is done, false if
+/// `deadline` passes first. Cooperative contexts poll the flag and yield
+/// between probes, so every probe stays a scheduling decision. Preemptive
+/// contexts spin on the flag for up to 50 us, unless the runtime runs
+/// more threads than the process has CPUs (ult::ThreadCensus), then park
+/// on `st.cv`. With `obs`, a wait the spin satisfied counts
+/// wait_spin_completions and one that parks counts wait_parks, both for
+/// ctx.task_id(); a request already done on entry counts neither.
+bool await_request(ult::TaskContext& ctx, RequestState& st,
+                   std::chrono::steady_clock::time_point deadline =
+                       std::chrono::steady_clock::time_point::max(),
+                   obs::Recorder* obs = nullptr);
+
 /// Wait for a transport request outside Comm (conformance tests, cluster
-/// internals): cooperates with the executor via ult::wait_until, rethrows
-/// a dead-node completion as NodeDeadError and anything else as MpiError.
+/// internals) through await_request; rethrows a dead-node completion as
+/// NodeDeadError and anything else as MpiError.
 void transport_wait(ult::TaskContext& ctx, Request& req,
-                    Status* status = nullptr);
+                    Status* status = nullptr, obs::Recorder* obs = nullptr);
 
 /// Timed variant: gives up after `timeout`, returning false with the
 /// request STILL PENDING — the caller must keep the buffer alive and

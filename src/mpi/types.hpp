@@ -6,6 +6,7 @@
 // nonblocking calls plus wait, exactly the MPI formulation.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -37,11 +38,14 @@ struct Status {
 };
 
 /// Completion record shared between the initiating task and the peer that
-/// completes the operation.
+/// completes the operation. It completes exactly once. The completer
+/// writes the result under `mu`, then sets `done` with release order and
+/// notifies `cv`; a waiter that reads `done` true with acquire order may
+/// read `status`, `error` and `error_node` without taking `mu`.
 struct RequestState {
   std::mutex mu;
   std::condition_variable cv;
-  bool done = false;
+  std::atomic<bool> done{false};
   Status status;
   /// Non-empty if the operation failed (e.g. truncation); surfaced as an
   /// MpiError from wait()/test() in the initiating task.
@@ -60,7 +64,7 @@ struct RequestState {
     {
       std::lock_guard<std::mutex> lk(mu);
       status = st;
-      done = true;
+      done.store(true, std::memory_order_release);
     }
     cv.notify_all();
   }
@@ -70,7 +74,7 @@ struct RequestState {
       std::lock_guard<std::mutex> lk(mu);
       error = std::move(message);
       error_node = dead_node;
-      done = true;
+      done.store(true, std::memory_order_release);
     }
     cv.notify_all();
   }

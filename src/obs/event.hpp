@@ -66,6 +66,9 @@ enum class Counter : int {
   tier_preread_bytes,   ///< bytes bulk-read from backing files on misses
   tier_writeback_bytes, ///< dirty bytes written back to backing files
                         ///< (coalesced spans, eviction + explicit flush)
+  wait_spin_completions,  ///< request waits the bounded spin satisfied
+  wait_parks,             ///< request waits that fell through to the
+                          ///< mutex/condvar park
   kCount
 };
 

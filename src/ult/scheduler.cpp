@@ -1,11 +1,45 @@
 #include "ult/scheduler.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
 #include "obs/recorder.hpp"
 
 namespace hlsmpc::ult {
+
+namespace {
+
+std::atomic<int> g_census{0};
+
+}  // namespace
+
+ThreadCensus::ThreadCensus(int threads) : threads_(threads) {
+  g_census.fetch_add(threads_, std::memory_order_relaxed);
+}
+
+ThreadCensus::~ThreadCensus() {
+  g_census.fetch_sub(threads_, std::memory_order_relaxed);
+}
+
+int ThreadCensus::usable_cpus() {
+  static const int cpus = [] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+      return std::max(CPU_COUNT(&set), 1);
+    }
+    return std::max(static_cast<int>(std::thread::hardware_concurrency()), 1);
+  }();
+  return cpus;
+}
+
+bool ThreadCensus::oversubscribed() {
+  const int cpus = usable_cpus();
+  return cpus < 2 || g_census.load(std::memory_order_relaxed) > cpus;
+}
 
 void Scheduler::set_obs(obs::Recorder* obs) {
 #if HLSMPC_OBS_ENABLED
@@ -66,6 +100,7 @@ void Scheduler::run() {
   done_.store(tasks_.empty());
   for (auto& t : tasks_) enqueue(t.get());
 
+  ThreadCensus census(num_workers());
   std::vector<std::thread> threads;
   threads.reserve(workers_.size());
   for (int i = 0; i < num_workers(); ++i) {
@@ -133,6 +168,7 @@ void ThreadExecutor::run(int n, const std::vector<int>& pins,
   if (static_cast<int>(pins.size()) != n) {
     throw std::invalid_argument("ThreadExecutor: pins.size() != n");
   }
+  ThreadCensus census(n);
   std::vector<std::thread> threads;
   std::mutex error_mu;
   std::exception_ptr first_error;

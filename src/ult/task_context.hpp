@@ -6,11 +6,9 @@
 // scheduled on the same core would starve. TaskContext abstracts over the
 // two execution back ends we provide (kernel threads and fibers): the
 // runtime's synchronisation primitives are written once against this
-// interface via wait_until() below.
+// interface (Backoff below; mpi::await_request for request waits).
 #pragma once
 
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 
 namespace hlsmpc::ult {
@@ -65,25 +63,6 @@ class TaskContext {
   ScheduleHook* hook_ = nullptr;
 };
 
-/// Block until `pred()` holds. `lk` must be locked on entry and is locked
-/// on return. Preemptive contexts park on `cv`; cooperative contexts poll
-/// with the lock released, yielding between probes. Wakers must call
-/// cv.notify_all() after changing the predicate's inputs (harmless but
-/// unnecessary for cooperative waiters).
-template <typename Pred>
-void wait_until(TaskContext& ctx, std::unique_lock<std::mutex>& lk,
-                std::condition_variable& cv, Pred pred) {
-  if (!ctx.cooperative()) {
-    cv.wait(lk, pred);
-    return;
-  }
-  while (!pred()) {
-    lk.unlock();
-    ctx.yield();
-    lk.lock();
-  }
-}
-
 /// Processor hint that the caller is in a spin loop (PAUSE / YIELD);
 /// falls back to a thread yield where no such instruction exists.
 inline void cpu_relax() {
@@ -95,6 +74,29 @@ inline void cpu_relax() {
   std::this_thread::yield();
 #endif
 }
+
+/// Census of the kernel threads the runtime runs right now. The task
+/// threads of ThreadExecutor::run, the workers of a fiber Scheduler and a
+/// transport's receiver thread each hold a census entry while they run.
+/// Spinning waiters consult it: a busy-wait only pays off while every
+/// such thread can own a CPU of its own.
+class ThreadCensus {
+ public:
+  explicit ThreadCensus(int threads);
+  ~ThreadCensus();
+  ThreadCensus(const ThreadCensus&) = delete;
+  ThreadCensus& operator=(const ThreadCensus&) = delete;
+
+  /// CPUs this process may run on (its sched_getaffinity mask, read once).
+  static int usable_cpus();
+  /// True while more runtime threads run than usable_cpus(), and always
+  /// on a single usable CPU, where a spinning waiter only delays the
+  /// thread that would complete its wait.
+  static bool oversubscribed();
+
+ private:
+  int threads_;
+};
 
 /// Adaptive spin / yield / block waiter for the runtime's lock-free
 /// primitives.

@@ -265,6 +265,7 @@ TEST(Cluster, ObsCountsCollectivesAndFabricTraffic) {
                      *static_cast<int*>(a) += *static_cast<const int*>(b);
                    });
   });
+#if HLSMPC_OBS_ENABLED
   const obs::Snapshot s = rec.snapshot();
   // Every rank entered one cluster collective; only leaders (ranks 0 and
   // 4) touched the fabric.
@@ -277,6 +278,37 @@ TEST(Cluster, ObsCountsCollectivesAndFabricTraffic) {
               0u)
         << "non-leader rank " << g << " must not touch the fabric";
   }
+#endif
+}
+
+TEST(Cluster, OversubscribedRunNeverSpinsOnRequests) {
+  // More rank threads than usable CPUs: every request wait must go
+  // straight to its condvar, a spinning waiter would only steal the CPU
+  // its completer needs.
+  const int rpn = hlsmpc::ult::ThreadCensus::usable_cpus() / 2 + 1;
+  obs::RecorderOptions ro;
+  ro.ntasks = 2 * rpn;
+  obs::Recorder rec(ro);
+  mpi::ClusterOptions o;
+  o.nnodes = 2;
+  o.ranks_per_node = rpn;
+  o.obs = &rec;
+  mpi::SimCluster cluster(o);
+  std::atomic<int> wrong{0};
+  cluster.run([&](mpi::ClusterComm& comm, TaskContext& ctx) {
+    EXPECT_TRUE(hlsmpc::ult::ThreadCensus::oversubscribed());
+    for (int i = 0; i < 20; ++i) {
+      const int sum = comm.allreduce_value(ctx, i, mpi::Op::sum);
+      if (sum != i * comm.size()) wrong.fetch_add(1);
+      comm.barrier(ctx);
+    }
+  });
+  EXPECT_EQ(wrong.load(), 0);
+  const obs::Snapshot s = rec.snapshot();
+  EXPECT_EQ(s.value(obs::Counter::wait_spin_completions), 0u);
+#if HLSMPC_OBS_ENABLED
+  EXPECT_GT(s.value(obs::Counter::wait_parks), 0u);
+#endif
 }
 
 // ---- deterministic exploration of the leader exchange ----

@@ -389,8 +389,10 @@ TEST(Recover, ObsCountsRecoveryEpisode) {
     }
     comm.shrink(ctx);
   });
+#if HLSMPC_OBS_ENABLED
   const obs::Snapshot s = rec.snapshot();
   EXPECT_EQ(s.total.c[static_cast<int>(obs::Counter::recoveries)], 1u);
+#endif
 }
 
 // ---- HLS checkpoint/restore ----

@@ -9,13 +9,18 @@
 // transport and the simulated inter-node fabric so a future transport
 // (e.g. the socket one) plugs into the same checklist.
 //
-// Also here: the HLSMPC_COLL_* environment overrides of CollConfig
-// (coll_config_from_env) with their range clamps.
+// Also here: the spin-then-park request wait (await_request) raced
+// against its completers, and the HLSMPC_COLL_* environment overrides of
+// CollConfig (coll_config_from_env) with their range clamps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,9 +30,12 @@
 #include "mpi/runtime.hpp"
 #include "mpi/shm_transport.hpp"
 #include "mpi/sim_fabric.hpp"
+#include "obs/recorder.hpp"
 
 namespace fault = hlsmpc::fault;
 namespace mpi = hlsmpc::mpi;
+namespace obs = hlsmpc::obs;
+namespace ult = hlsmpc::ult;
 
 namespace {
 
@@ -482,4 +490,156 @@ TEST(RetryBackoff, JitterSeedDecorrelatesPeersDeterministically) {
     EXPECT_GE(d, pol.backoff_base.count() * 3 / 4);
     EXPECT_LE(d, pol.backoff_cap.count() * 5 / 4);
   }
+}
+
+// ---- request waits: spin, then park -------------------------------------
+//
+// await_request (transport.hpp) polls RequestState::done for a bounded
+// spin, then parks on the request's condvar. Completions race that
+// transition here; a lost wakeup would hang the suite (ctest timeout).
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// Burn `us` microseconds on this thread: a completer that lands early in
+/// the waiter's spin, near its end, or after it parked.
+void busy_us(double us) {
+  const auto end = Clock::now() + std::chrono::duration<double, std::micro>(us);
+  while (Clock::now() < end) ult::cpu_relax();
+}
+
+/// Spin completions are possible in this process right now (the test's
+/// own threads hold no census entry).
+bool can_spin() { return !ult::ThreadCensus::oversubscribed(); }
+
+}  // namespace
+
+TEST(RequestWait, CompletionsRacingSpinToParkNeverHang) {
+  constexpr int kRequests = 100000;
+  obs::Recorder rec({.ntasks = 1, .num_scopes = 0, .ring_capacity = 0});
+  std::vector<std::shared_ptr<mpi::RequestState>> reqs(kRequests);
+  for (auto& r : reqs) r = std::make_shared<mpi::RequestState>();
+  // The waiter publishes how many waits it has entered; the completer
+  // completes request i a drawn delay after wait i began: most inside
+  // the 50 us spin, a quarter straddling its end, the rest after the
+  // waiter parked.
+  std::atomic<int> entered{0};
+  std::thread completer([&] {
+    std::mt19937 rng(14);
+    std::uniform_real_distribution<double> u(0.0, 1.0);
+    for (int i = 0; i < kRequests; ++i) {
+      while (entered.load(std::memory_order_acquire) <= i) ult::cpu_relax();
+      switch (i % 8) {
+        case 5:
+        case 6:
+          busy_us(40.0 + 20.0 * u(rng));
+          break;
+        case 7:
+          busy_us(60.0 + 40.0 * u(rng));
+          break;
+        default:
+          busy_us(2.0 * u(rng));
+      }
+      reqs[static_cast<std::size_t>(i)]->complete(mpi::Status{0, i, 0});
+    }
+  });
+  TestCtx ctx(0);
+  int wrong = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    mpi::Request r(reqs[static_cast<std::size_t>(i)]);
+    entered.store(i + 1, std::memory_order_release);
+    mpi::Status st;
+    mpi::transport_wait(ctx, r, &st, &rec);
+    wrong += st.tag != i || r.valid();
+  }
+  completer.join();
+  EXPECT_EQ(wrong, 0);
+#if HLSMPC_OBS_ENABLED
+  const std::uint64_t spins =
+      rec.counter(0, obs::Counter::wait_spin_completions);
+  const std::uint64_t parks = rec.counter(0, obs::Counter::wait_parks);
+  EXPECT_LE(spins + parks, static_cast<std::uint64_t>(kRequests));
+  // Completions 100 us after the wait began always find it parked.
+  EXPECT_GE(parks, static_cast<std::uint64_t>(kRequests / 16));
+  if (can_spin()) {
+    EXPECT_GT(spins, 0u);
+  } else {
+    EXPECT_EQ(spins, 0u);
+  }
+#endif
+}
+
+TEST(RequestWait, DeadNodeErrorDuringSpinNamesTheNode) {
+  obs::Recorder rec({.ntasks = 1, .num_scopes = 0, .ring_capacity = 0});
+  TestCtx ctx(0);
+  // Retried until one error lands inside the spin (a descheduled
+  // completer can miss it); every attempt must name node 3.
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    auto st = std::make_shared<mpi::RequestState>();
+    mpi::Request r(st);
+    std::atomic<bool> waiting{false};
+    std::thread killer([&] {
+      while (!waiting.load(std::memory_order_acquire)) ult::cpu_relax();
+      busy_us(2.0);
+      st->complete_error("fabric recv: node 3 unreachable", 3);
+    });
+    waiting.store(true, std::memory_order_release);
+    try {
+      mpi::transport_wait(ctx, r, nullptr, &rec);
+      ADD_FAILURE() << "a dead-node completion must throw";
+    } catch (const mpi::NodeDeadError& e) {
+      EXPECT_EQ(e.node(), 3);
+      EXPECT_NE(std::string(e.what()).find("node 3"), std::string::npos);
+    }
+    killer.join();
+#if HLSMPC_OBS_ENABLED
+    if (rec.counter(0, obs::Counter::wait_spin_completions) > 0) break;
+#else
+    break;
+#endif
+  }
+#if HLSMPC_OBS_ENABLED
+  if (can_spin()) {
+    EXPECT_GT(rec.counter(0, obs::Counter::wait_spin_completions), 0u);
+  }
+#endif
+}
+
+TEST(RequestWait, WaitForTimesOutAroundTheSpinBound) {
+  TestCtx ctx(0);
+  auto st = std::make_shared<mpi::RequestState>();
+  mpi::Request r(st);
+  // 0 ms expires before the 50 us spin would end, 2 ms after it: both
+  // return false and leave the request pending.
+  for (const auto timeout :
+       {std::chrono::milliseconds(0), std::chrono::milliseconds(2)}) {
+    const auto t0 = Clock::now();
+    EXPECT_FALSE(mpi::transport_wait_for(ctx, r, timeout));
+    EXPECT_GE(Clock::now() - t0, timeout);
+    EXPECT_TRUE(r.valid());
+  }
+  // A 10 us deadline cuts the spin short: the fastest of several waits
+  // returns well before the spin bound.
+  auto fastest = Clock::duration::max();
+  for (int i = 0; i < 20; ++i) {
+    const auto t0 = Clock::now();
+    EXPECT_FALSE(
+        mpi::await_request(ctx, *st, t0 + std::chrono::microseconds(10)));
+    const auto took = Clock::now() - t0;
+    EXPECT_GE(took, std::chrono::microseconds(10));
+    fastest = std::min(fastest, took);
+  }
+  EXPECT_LT(fastest, std::chrono::microseconds(50));
+  // The still-pending request completes normally afterwards.
+  std::thread completer([&] {
+    busy_us(100.0);
+    st->complete(mpi::Status{1, 5, 0});
+  });
+  mpi::Status out;
+  EXPECT_TRUE(
+      mpi::transport_wait_for(ctx, r, std::chrono::seconds(30), &out));
+  completer.join();
+  EXPECT_EQ(out.tag, 5);
+  EXPECT_FALSE(r.valid());
 }

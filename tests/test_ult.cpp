@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <vector>
 
@@ -124,7 +126,8 @@ TEST(Scheduler, RejectsBadWorkerIndex) {
 namespace {
 
 // Shared harness for the executor equivalence tests: all ranks increment a
-// counter under a mutex and wait for everyone via wait_until.
+// counter under a mutex and wait for everyone. Preemptive contexts park on
+// the condvar; cooperative ones poll with the lock released and yield.
 void run_counter_rendezvous(ult::Executor& ex, int n) {
   std::mutex mu;
   std::condition_variable cv;
@@ -135,7 +138,15 @@ void run_counter_rendezvous(ult::Executor& ex, int n) {
     std::unique_lock<std::mutex> lk(mu);
     ++arrived;
     cv.notify_all();
-    ult::wait_until(ctx, lk, cv, [&] { return arrived == n; });
+    if (!ctx.cooperative()) {
+      cv.wait(lk, [&] { return arrived == n; });
+      return;
+    }
+    while (arrived != n) {
+      lk.unlock();
+      ctx.yield();
+      lk.lock();
+    }
   });
   EXPECT_EQ(arrived, n);
 }
@@ -149,7 +160,7 @@ TEST(Executor, ThreadBackendRendezvous) {
 
 TEST(Executor, FiberBackendRendezvousSingleWorker) {
   // The hardest case: 8 tasks rendezvous on ONE kernel thread. Only works
-  // because cooperative wait_until yields instead of parking.
+  // because the cooperative wait yields instead of parking.
   ult::FiberExecutor ex(1);
   run_counter_rendezvous(ex, 8);
 }
