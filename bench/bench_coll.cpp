@@ -279,7 +279,7 @@ BENCHMARK(BM_AllgatherSweep)->RangeMultiplier(2)->Range(64, 1 << 20)
 //
 // Same allreduce, same ranks, same engine: the only difference is the
 // Mono variant clamping pipeline_threshold to SIZE_MAX so large payloads
-// stay on the PR 5 monolithic path. check_coll_ratio.py holds the
+// stay on the PR 5 monolithic path. BENCH_coll.json's gate holds the
 // within-run ratio: pipelined >= 1.3x throughput at 4 MB (where per-rank
 // working sets spill L2 and fragment blocking pays), no loss at 1 MB,
 // and no small-message regression at 1 KB (where both variants select
@@ -350,7 +350,7 @@ double allreduce_round_seconds(std::size_t count, bool mono, int rounds) {
 // inflate a batch, so the min over several interleaved reps is each
 // path's quiet-window cost — the machine-intrinsic number — where a
 // median of per-rep ratios still collapses when steal is sustained
-// across most reps. check_coll_ratio.py holds the bounds on the
+// across most reps. BENCH_coll.json's gate holds the bounds on the
 // speedup_best counter; speedup_median rides along as context.
 void BM_AllreducePipelineSpeedup(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));

@@ -1,7 +1,7 @@
 // Recovery-path benchmarks: what a failure costs, and what insurance
 // costs when nothing fails.
 //
-// Two acceptance bounds, both enforced by check_recover_ratio.py as
+// Two acceptance bounds, both declared in BENCH_recover.json's gate as
 // within-run ratios in the PR 7 noisy-host style (interleaved reps,
 // gate on each side's MINIMUM — external load only ever inflates a
 // measurement, so the min over several interleaved reps is the

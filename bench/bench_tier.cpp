@@ -1,7 +1,7 @@
 // Storage-tier benchmarks: what the file tier costs when it is warm, and
 // whether the bulk pre-read earns its keep on a cold region.
 //
-// Two acceptance bounds, both enforced by check_tier_ratio.py as
+// Two acceptance bounds, both declared in BENCH_tier.json's gate as
 // within-run ratios in the bench_recover style (interleaved reps, gate
 // on each side's MINIMUM — external load only ever inflates a
 // measurement, so the min over several interleaved reps is the

@@ -11,7 +11,7 @@
 // The acceptance bound is a within-run ratio, like bench_rma's: a 64 KB
 // fabric transfer is two memcpys plus an allocation and two lock
 // acquisitions, so it must stay within a small factor of BM_RawMemcpy at
-// the same size (check_transport_ratio.py, default 8x). Both sides of
+// the same size (8x, in BENCH_transport.json's gate). Both sides of
 // the ratio come from one run, so machine load cancels out; the
 // committed BENCH_transport.json baseline holds only the 64 KB
 // bandwidth-bound points cross-run (the 4 KB points are candidate-only —

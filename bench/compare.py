@@ -1,27 +1,46 @@
 #!/usr/bin/env python3
-"""Diff two benchmark JSON runs and flag regressions.
+"""Diff a benchmark run against its baseline and enforce the baseline's gate.
 
-Usage: compare.py BASELINE.json CANDIDATE.json [--threshold PCT]
+Usage: compare.py BASELINE.json CANDIDATE.json [--allow-missing]
 
-Accepts google-benchmark's --benchmark_format=json output
-(bench_micro_sync) and bench_fig3_matmul's --json output. Benchmarks are
-matched by "name"; for each name present in both runs the script prints
-the relative change of its metric:
+Accepts google-benchmark's --benchmark_format=json output and
+bench_fig3_matmul's --json output. Benchmarks are matched by "name"; for
+each name present in both runs the script prints the relative change of
+its metric:
 
   - "real_time" (google-benchmark): lower is better;
   - "perf" (fig3, flops/cycle): higher is better.
 
-A change worse than --threshold (default 10%) is flagged as a REGRESSION
-and makes the script exit 1, so it can gate a CI job:
+The baseline declares its own gate in an optional top-level "gate"
+object, so every bound lives in the BENCH_*.json it belongs to:
 
-  ./build-bench/bench/bench_micro_sync --benchmark_format=json > new.json
-  python3 bench/compare.py BENCH_micro_sync.json new.json
+  "gate": {
+    "threshold": 25,          cross-run regression threshold in percent
+                              (default 10)
+    "check_counters": true,   counter drift between the runs is an error
+                              (default false: drift is only reported)
+    "bounds": [               within-run ratios, checked on the candidate
+      {"point": P, "counter": C, "min": X},     P's counter C >= X
+      {"point": P, "counter": C, "max": X},     P's counter C <= X
+      {"point": A, "over": B, "max": X}         real_time(A)/real_time(B) <= X
+    ],
+    "require": [P, ...]       points the candidate must contain
+  }
 
-A baseline benchmark missing from the candidate is an error too (a
-renamed or dropped benchmark silently passing is how gates rot);
---allow-missing downgrades it to a note. A file that does not look like
-a benchmark run at all (no "benchmarks" array, or entries without the
-expected metric fields) exits 2.
+A bound value is a number or a quotient string such as "1/1.15", which
+keeps a reciprocal bound exact instead of a rounded decimal. Each bound
+may carry a "what" label for the report. Within-run ratios compare two
+sides that saw the same machine state, so they hold on hosts too noisy
+for any cross-run threshold.
+
+Exit status: 0 when everything passes; 1 on a regression past the
+threshold, a broken bound, a bound or required point missing from the
+candidate, a baseline benchmark missing from the candidate (a renamed or
+dropped benchmark silently passing is how gates rot; --allow-missing
+downgrades that to a note), or checked counter drift; 2 on a file that
+does not look like a benchmark run (no "benchmarks" array, or entries
+without the expected metric fields), a malformed gate, or no common
+benchmark names.
 
 A run from an unoptimized build exits 2 as well: timings from -O0 code
 gate nothing. The binaries stamp "hlsmpc_build_type" into the run
@@ -32,13 +51,14 @@ is absent, library_build_type is the fallback, so old baselines recorded
 before the stamp existed are rejected until regenerated. Runs without
 any "context" object (fig3's counter format) skip the check.
 
-Observability counters (bench_micro_sync emits them as user counters,
-fig3 as a "counters" object) are compared when a benchmark carries them
-in both runs; drift is reported but only fails with --check-counters.
+Observability counters (google-benchmark user counters, fig3's
+"counters" object) are compared when a benchmark carries them in both
+runs.
 """
 
 import argparse
 import json
+import math
 import sys
 
 
@@ -97,26 +117,74 @@ def load(path):
     if not metrics:
         raise SchemaError(f"{path}: \"benchmarks\" array holds no "
                           "comparable entries")
-    return metrics, counters
+    gate = doc.get("gate", {})
+    if not isinstance(gate, dict):
+        raise SchemaError(f"{path}: \"gate\" is not an object")
+    return metrics, counters, gate
+
+
+def bound_value(v):
+    """A bound is a number or an exact quotient string "a/b"."""
+    if isinstance(v, str):
+        num, _, den = v.partition("/")
+        return float(num) / float(den) if den else float(num)
+    return float(v)
+
+
+def load_bounds(path, gate):
+    """The gate's within-run bounds, each with its limit parsed."""
+    bounds = []
+    for b in gate.get("bounds", []):
+        if (not isinstance(b, dict) or "point" not in b
+                or ("min" in b) == ("max" in b)
+                or ("counter" in b) == ("over" in b)):
+            raise SchemaError(f"{path}: malformed gate bound {json.dumps(b)}")
+        bounds.append(dict(b, limit=bound_value(b.get("min", b.get("max")))))
+    return bounds
+
+
+def check_bound(bound, metrics, counters):
+    """Evaluate one within-run bound on the candidate: returns (report
+    line, failure message or None)."""
+    point = bound["point"]
+    if "over" in bound:
+        other = bound["over"]
+        what = bound.get("what", f"{point} / {other}")
+        if point not in metrics or other not in metrics:
+            return None, f"{what}: missing {point} or {other}"
+        num, den = metrics[point][1], metrics[other][1]
+        value = num / den if den else math.inf
+    else:
+        ctr = bound["counter"]
+        what = bound.get("what", f"{point}.{ctr}")
+        if ctr not in counters.get(point, {}):
+            return None, f"{what}: missing {point}.{ctr}"
+        value = counters[point][ctr]
+    limit = bound["limit"]
+    if "min" in bound:
+        ok, rel = value >= limit, ">="
+    else:
+        ok, rel = value <= limit, "<="
+    line = (f"{what}: {value:g}x (bound {rel} {limit:g}x)  "
+            f"{'ok' if ok else 'REGRESSION'}")
+    return line, None if ok else f"{what}: {value:g} not {rel} {limit:g}"
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline")
     ap.add_argument("candidate")
-    ap.add_argument("--threshold", type=float, default=10.0,
-                    help="regression threshold in percent (default 10)")
     ap.add_argument("--allow-missing", action="store_true",
                     help="baseline benchmarks absent from the candidate "
                          "are a note, not an error")
-    ap.add_argument("--check-counters", action="store_true",
-                    help="counter drift between runs is an error")
     args = ap.parse_args()
 
     try:
-        base, base_ctr = load(args.baseline)
-        cand, cand_ctr = load(args.candidate)
-    except (OSError, json.JSONDecodeError, SchemaError) as e:
+        base, base_ctr, gate = load(args.baseline)
+        cand, cand_ctr, _ = load(args.candidate)
+        threshold = float(gate.get("threshold", 10.0))
+        bounds = load_bounds(args.baseline, gate)
+    except (OSError, ValueError, SchemaError) as e:
         print(f"compare.py: {e}", file=sys.stderr)
         return 2
     common = [n for n in base if n in cand]
@@ -145,10 +213,10 @@ def main():
         # Normalize so positive pct always means "got worse".
         pct = ((old - new) / old if higher_better else (new - old) / old) * 100
         flag = ""
-        if pct > args.threshold:
+        if pct > threshold:
             flag = "  REGRESSION"
             regressions.append((name, pct))
-        elif pct < -args.threshold:
+        elif pct < -threshold:
             flag = "  improved"
         print(f"{name:<{width}}  {old:>12.3f}  {new:>12.3f}  {pct:>+7.1f}%"
               f"{flag}")
@@ -165,8 +233,23 @@ def main():
         print(f"\ncounter drift ({len(drifted)}):")
         for d in drifted:
             print(f"  {d}")
-        if args.check_counters:
+        if gate.get("check_counters", False):
             failures.extend(drifted)
+
+    if bounds:
+        print("\nwithin-run bounds:")
+    for b in bounds:
+        line, failure = check_bound(b, cand, cand_ctr)
+        print(f"  {line or failure}")
+        if failure:
+            failures.append(failure)
+    required = gate.get("require", [])
+    absent = [n for n in required if n not in cand]
+    if required:
+        print(f"required points: {len(required) - len(absent)} of "
+              f"{len(required)} present")
+    failures.extend(f"{n}: required point missing from candidate"
+                    for n in absent)
 
     only_base = sorted(set(base) - set(cand))
     only_cand = sorted(set(cand) - set(base))
@@ -183,7 +266,7 @@ def main():
 
     if regressions:
         print(f"\n{len(regressions)} regression(s) worse than "
-              f"{args.threshold:.0f}%:", file=sys.stderr)
+              f"{threshold:.0f}%:", file=sys.stderr)
         for name, pct in regressions:
             print(f"  {name}: {pct:+.1f}%", file=sys.stderr)
     if failures:
@@ -192,8 +275,9 @@ def main():
             print(f"  {f}", file=sys.stderr)
     if regressions or failures:
         return 1
-    print(f"\nno regressions worse than {args.threshold:.0f}% "
-          f"({len(common)} benchmarks compared)")
+    print(f"\nno regressions worse than {threshold:.0f}% "
+          f"({len(common)} benchmarks compared, {len(bounds)} bounds, "
+          f"{len(required)} required points)")
     return 0
 
 

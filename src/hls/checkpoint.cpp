@@ -1,7 +1,5 @@
 #include "hls/checkpoint.hpp"
 
-#if HLSMPC_RECOVERY_ENABLED
-
 #include <dirent.h>
 #include <fcntl.h>
 #include <signal.h>
@@ -637,5 +635,3 @@ CheckpointStore::Report CheckpointStore::restore(StorageManager& storage,
 }
 
 }  // namespace hlsmpc::hls
-
-#endif  // HLSMPC_RECOVERY_ENABLED

@@ -33,12 +33,6 @@
 // paper's single-address-space node model.
 #pragma once
 
-#ifndef HLSMPC_RECOVERY_ENABLED
-#define HLSMPC_RECOVERY_ENABLED 1
-#endif
-
-#if HLSMPC_RECOVERY_ENABLED
-
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -131,5 +125,3 @@ class CheckpointStore {
 };
 
 }  // namespace hlsmpc::hls
-
-#endif  // HLSMPC_RECOVERY_ENABLED

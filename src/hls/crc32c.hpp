@@ -1,8 +1,7 @@
 // CRC-32C (Castagnoli, reflected polynomial 0x82F63B78), shared by the
 // checkpoint format (file trailers) and the storage tier's page cache
-// (per-page content baselines for dirty detection). Header-only on
-// purpose: the two users sit behind independent compile switches
-// (HLSMPC_RECOVERY, HLSMPC_STORAGE_TIER), so neither can own the symbol.
+// (per-page content baselines for dirty detection). Header-only, so
+// neither user owns the symbol.
 //
 // Two implementations that produce identical values — a buffer
 // checksummed on either path verifies on the other:

@@ -1,7 +1,5 @@
 #include "hls/pagecache.hpp"
 
-#if HLSMPC_STORAGE_TIER_ENABLED
-
 #include <unistd.h>
 
 #include <algorithm>
@@ -357,5 +355,3 @@ PageCache::Stats PageCache::stats() const {
 }
 
 }  // namespace hlsmpc::hls
-
-#endif  // HLSMPC_STORAGE_TIER_ENABLED

@@ -40,8 +40,6 @@
 
 #include "hls/tier.hpp"
 
-#if HLSMPC_STORAGE_TIER_ENABLED
-
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -154,5 +152,3 @@ class PageCache {
 };
 
 }  // namespace hlsmpc::hls
-
-#endif  // HLSMPC_STORAGE_TIER_ENABLED

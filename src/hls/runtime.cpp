@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#if HLSMPC_RECOVERY_ENABLED
 #include "hls/checkpoint.hpp"
-#endif
 
 namespace hlsmpc::hls {
 
@@ -158,7 +156,6 @@ void* Runtime::get_addr(const VarHandle& h, ult::TaskContext& ctx) {
   return r.base + h.offset;
 }
 
-#if HLSMPC_RMA_ENABLED
 VarHandle Runtime::rma_backing(const std::string& name, std::size_t bytes,
                                const topo::ScopeSpec& scope) {
   if (bytes == 0) {
@@ -174,9 +171,7 @@ VarHandle Runtime::rma_backing(const std::string& name, std::size_t bytes,
   mb.commit();
   return h;
 }
-#endif  // HLSMPC_RMA_ENABLED
 
-#if HLSMPC_RECOVERY_ENABLED
 std::uint64_t Runtime::checkpoint(CheckpointStore& store,
                                   const topo::ScopeSpec& scope) {
   const CanonicalScope c = canonicalize(sm_, scope);
@@ -206,7 +201,6 @@ std::uint64_t Runtime::restore(CheckpointStore& store,
 #endif
   return rep.version;
 }
-#endif  // HLSMPC_RECOVERY_ENABLED
 
 CanonicalScope Runtime::common_scope(
     std::initializer_list<VarHandle> vars) const {

@@ -26,20 +26,10 @@
 #include "memtrack/memtrack.hpp"
 #include "obs/recorder.hpp"
 
-#ifndef HLSMPC_RMA_ENABLED
-#define HLSMPC_RMA_ENABLED 1
-#endif
-
-#ifndef HLSMPC_RECOVERY_ENABLED
-#define HLSMPC_RECOVERY_ENABLED 1
-#endif
-
 namespace hlsmpc::hls {
 
 class Runtime;
-#if HLSMPC_RECOVERY_ENABLED
 class CheckpointStore;
-#endif
 
 /// A directive's variable list with its scope checks done once: the
 /// common scope (what `single` needs — all variables share it) and the
@@ -184,7 +174,6 @@ class Runtime {
   /// destination's scope instances (paper §IV.A).
   void migrate(ult::TaskContext& ctx, int new_cpu);
 
-#if HLSMPC_RMA_ENABLED
   /// Scope backing for a one-sided RMA window (mpi::rma): registers a
   /// fresh single-variable module "rma:<name>" of `bytes` per scope
   /// instance and returns its handle. At the default core scope every
@@ -195,7 +184,6 @@ class Runtime {
   /// that is the paper's flexible-sharing knob).
   VarHandle rma_backing(const std::string& name, std::size_t bytes,
                         const topo::ScopeSpec& scope = topo::core_scope());
-#endif
 
   /// Write every dirty file-tier page back to its backing file
   /// (coalesced spans; see StorageManager::tier_flush). Quiescent callers
@@ -207,7 +195,6 @@ class Runtime {
     return storage_.tier_flush(ctx.task_id());
   }
 
-#if HLSMPC_RECOVERY_ENABLED
   /// Snapshot every materialized region of `scope` into `store` as a new
   /// checkpoint version (see hls/checkpoint.hpp for format and atomic
   /// publication). Quiescent callers only: run it between episodes, after
@@ -231,7 +218,6 @@ class Runtime {
   /// Throws HlsError when no version passes validation. Returns the
   /// version restored.
   std::uint64_t restore(CheckpointStore& store, const topo::ScopeSpec& scope);
-#endif
 
   /// Scope shared by all variables of the list (throws if mixed: the
   /// paper's "same HLS scope" compile-time check for single).

@@ -6,7 +6,6 @@
 #include "fault/injector.hpp"
 #include "obs/recorder.hpp"
 
-#if HLSMPC_STORAGE_TIER_ENABLED
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -14,7 +13,6 @@
 
 #include "hls/pagecache.hpp"
 #include "shm/segment.hpp"
-#endif
 
 namespace hlsmpc::hls {
 
@@ -42,12 +40,10 @@ StorageManager::StorageManager(const Registry& reg, memtrack::Tracker& tracker,
 }
 
 StorageManager::~StorageManager() {
-#if HLSMPC_STORAGE_TIER_ENABLED
   // Spill files are scratch: delete them with the manager (open mappings
   // keep working until the regions are torn down below). file_backed
   // regions keep their files — persistence is their point.
   for (const std::string& p : spill_paths_) ::unlink(p.c_str());
-#endif
   for (auto& per_scope : instances_) {
     for (auto& inst : per_scope) {
       for (auto& chunk_slot : inst->chunks) {
@@ -121,7 +117,6 @@ StorageManager::Resolved StorageManager::materialize(ModuleRegion& region,
                      ErrorCode::out_of_memory);
     }
     bool reopened = false;
-#if HLSMPC_STORAGE_TIER_ENABLED
     const Tier tier = tier_policy(sid, module);
     if (tier != Tier::anonymous) {
       // File-tier region: the base IS a MAP_SHARED mapping of the backing
@@ -183,12 +178,7 @@ StorageManager::Resolved StorageManager::materialize(ModuleRegion& region,
         obs_->record(e);
       }
 #endif
-    } else
-#else
-    (void)sid;
-    (void)instance;
-#endif
-    {
+    } else {
       region.mem =
           memtrack::Buffer(*tracker_, memtrack::Category::hls_shared, bytes);
       for (const VarInfo& v : m.vars) {
@@ -263,7 +253,6 @@ StorageManager::Resolved StorageManager::resolve_accessed(
     throw HlsError("get_addr: accessed range [offset, offset + size) beyond "
                    "module region");
   }
-#if HLSMPC_STORAGE_TIER_ENABLED
   // File-tier regions price every storage-routed access through the page
   // cache (hits/misses, read-ahead, eviction). The per-task warm path in
   // Runtime::get_addr never reaches here — by design, so warm resolution
@@ -272,7 +261,6 @@ StorageManager::Resolved StorageManager::resolve_accessed(
     cache_->touch(region->cache_rid, offset, size == 0 ? 1 : size,
                   ctx != nullptr ? ctx->task_id() : -1);
   }
-#endif
   return r;
 }
 
@@ -340,11 +328,9 @@ void StorageManager::import_region(const CanonicalScope& scope, int instance,
                    ErrorCode::corruption);
   }
   if (bytes > 0) std::memcpy(r.base, data, bytes);
-#if HLSMPC_STORAGE_TIER_ENABLED
   if (region->cache_rid >= 0 && bytes > 0) {
     cache_->note_write(region->cache_rid, 0, bytes);
   }
-#endif
 }
 
 void StorageManager::import_region_range(const CanonicalScope& scope,
@@ -380,18 +366,14 @@ void StorageManager::import_region_range(const CanonicalScope& scope,
                    ErrorCode::corruption);
   }
   if (bytes > 0) std::memcpy(r.base + offset, data, bytes);
-#if HLSMPC_STORAGE_TIER_ENABLED
   if (region->cache_rid >= 0 && bytes > 0) {
     cache_->note_write(region->cache_rid, offset, bytes);
   }
-#endif
 }
 
 std::size_t StorageManager::bytes_allocated() const {
   return tracker_->current(memtrack::Category::hls_shared);
 }
-
-#if HLSMPC_STORAGE_TIER_ENABLED
 
 Tier StorageManager::tier_policy(int sid, int module) const {
   std::lock_guard<std::mutex> lk(tier_mu_);
@@ -487,48 +469,6 @@ void StorageManager::tier_rebaseline(const CanonicalScope& scope, int instance,
   if (region == nullptr || region->cache_rid < 0) return;
   cache_->rebaseline(region->cache_rid, published);
 }
-
-#else  // !HLSMPC_STORAGE_TIER_ENABLED
-
-void StorageManager::set_tier(const CanonicalScope& scope, Tier tier) {
-  (void)scope;
-  if (tier != Tier::anonymous) {
-    throw HlsError(
-        "set_tier: storage tier disabled at build time "
-        "(HLSMPC_STORAGE_TIER=OFF)",
-        ErrorCode::not_eligible);
-  }
-}
-
-void StorageManager::set_module_tier(const CanonicalScope& scope, int module,
-                                     Tier tier) {
-  (void)scope;
-  (void)module;
-  if (tier != Tier::anonymous) {
-    throw HlsError(
-        "set_module_tier: storage tier disabled at build time "
-        "(HLSMPC_STORAGE_TIER=OFF)",
-        ErrorCode::not_eligible);
-  }
-}
-
-Tier StorageManager::tier_of(const CanonicalScope&, int) const {
-  return Tier::anonymous;
-}
-
-void StorageManager::set_tier_config(TierConfig) {}
-
-std::size_t StorageManager::tier_flush(int) { return 0; }
-
-bool StorageManager::tier_scan(const CanonicalScope&, int, int,
-                               TierScan*) const {
-  return false;
-}
-
-void StorageManager::tier_rebaseline(const CanonicalScope&, int, int,
-                                     const TierScan*) {}
-
-#endif  // HLSMPC_STORAGE_TIER_ENABLED
 
 int StorageManager::copies(const CanonicalScope& scope, int module) const {
   if (module < 0 || module >= kChunkSize * kMaxChunks) return 0;

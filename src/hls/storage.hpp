@@ -34,17 +34,13 @@ namespace hlsmpc::obs {
 class Recorder;
 }  // namespace hlsmpc::obs
 
-#if HLSMPC_STORAGE_TIER_ENABLED
 namespace hlsmpc::shm {
 class MappedSegment;
 }  // namespace hlsmpc::shm
-#endif
 
 namespace hlsmpc::hls {
 
-#if HLSMPC_STORAGE_TIER_ENABLED
 class PageCache;
-#endif
 
 class StorageManager {
  public:
@@ -123,9 +119,7 @@ class StorageManager {
   //
   // Tier declarations only affect regions not yet materialized: declare
   // tiers right after building the registry, before any task touches the
-  // scope. With HLSMPC_STORAGE_TIER compiled out, declaring a
-  // non-anonymous tier throws HlsError(ErrorCode::not_eligible); every
-  // other call below degrades to a no-op, so callers need no #if.
+  // scope.
 
   /// Default tier for every module region of `scope`.
   void set_tier(const CanonicalScope& scope, Tier tier);
@@ -151,11 +145,9 @@ class StorageManager {
   /// second hash (PageCache::rebaseline). No-op for anonymous regions.
   void tier_rebaseline(const CanonicalScope& scope, int instance, int module,
                        const TierScan* published = nullptr);
-#if HLSMPC_STORAGE_TIER_ENABLED
   /// The page cache fronting file-tier regions; nullptr until the first
   /// file-tier region materializes.
   PageCache* page_cache() { return cache_.get(); }
-#endif
 
   /// Byte-range variant of import_region (incremental-checkpoint
   /// restore): materialize if needed, then overwrite
@@ -171,11 +163,9 @@ class StorageManager {
     std::size_t bytes = 0;                  ///< valid once base is non-null
     std::mutex init_mu;  // first-touch only ("a lock per module", §IV.A)
     memtrack::Buffer mem;
-#if HLSMPC_STORAGE_TIER_ENABLED
     Tier tier = Tier::anonymous;  ///< valid once base is non-null
     std::unique_ptr<shm::MappedSegment> file;  ///< file tiers only
     int cache_rid = -1;  ///< page-cache region id; -1 = anonymous
-#endif
   };
 
   // Module slots are reached through a fixed two-level table of atomic
@@ -199,11 +189,9 @@ class StorageManager {
   /// bookkeeping (page-cache touches) behind the Resolved.
   Resolved resolve_at(const CanonicalScope& scope, int module, int cpu,
                       ult::TaskContext* ctx, ModuleRegion** out_region);
-#if HLSMPC_STORAGE_TIER_ENABLED
   Tier tier_policy(int sid, int module) const;
   /// Region of (sid, instance, module) if materialized, else nullptr.
   ModuleRegion* find_region(int sid, int instance, int module) const;
-#endif
 
   const Registry* reg_;
   memtrack::Tracker* tracker_;
@@ -212,14 +200,12 @@ class StorageManager {
 #endif
   // [sid][instance]; fully sized at construction from the frozen table.
   std::vector<std::vector<std::unique_ptr<InstanceStorage>>> instances_;
-#if HLSMPC_STORAGE_TIER_ENABLED
   mutable std::mutex tier_mu_;  // tier policy + config + spill list
   TierConfig tier_cfg_;
   std::map<int, Tier> scope_tier_;                  // sid -> default
   std::map<std::pair<int, int>, Tier> module_tier_;  // (sid, module)
   std::unique_ptr<PageCache> cache_;
   std::vector<std::string> spill_paths_;  // unlinked at destruction
-#endif
 };
 
 }  // namespace hlsmpc::hls

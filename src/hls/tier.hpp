@@ -10,11 +10,9 @@
 // names a stable path, so the data survives process restart and re-opens
 // bit-identical through hls_get_addr.
 //
-// The whole tier sits behind the compile-time switch HLSMPC_STORAGE_TIER
-// (CMake option; macro HLSMPC_STORAGE_TIER_ENABLED). Off, these types
-// still exist so configuration code keeps compiling, but StorageManager
-// rejects non-anonymous tiers and no file/page-cache code is linked
-// (verified by a symbol check, see tests/).
+// The tier is always compiled in and costs nothing until a scope or
+// module declares a non-anonymous tier (StorageManager::set_tier); every
+// region stays anonymous by default.
 #pragma once
 
 #include <cstddef>
@@ -23,16 +21,11 @@
 #include <utility>
 #include <vector>
 
-#ifndef HLSMPC_STORAGE_TIER_ENABLED
-#define HLSMPC_STORAGE_TIER_ENABLED 1
-#endif
-
 namespace hlsmpc::hls {
 
 /// Where a module region's bytes live.
 enum class Tier : std::uint8_t {
-  /// Anonymous memory charged to the memtrack tracker — the default, and
-  /// the only tier when HLSMPC_STORAGE_TIER is compiled out.
+  /// Anonymous memory charged to the memtrack tracker — the default.
   anonymous,
   /// A file at a stable path derived from (scope, instance, module): the
   /// region persists across process restarts — a re-run that declares the

@@ -9,9 +9,7 @@
 #include "mpi/coll_algo.hpp"
 #include "obs/recorder.hpp"
 
-#if HLSMPC_RECOVERY_ENABLED
 #include "mpi/recover.hpp"
-#endif
 
 namespace hlsmpc::mpi {
 
@@ -106,7 +104,6 @@ Runtime& SimCluster::node_runtime(int node) {
   return *nodes_[static_cast<std::size_t>(node)];
 }
 
-#if HLSMPC_RECOVERY_ENABLED
 void SimCluster::respawn(int node) {
   if (node < 0 || node >= opts_.nnodes) {
     throw MpiError("respawn: bad node " + std::to_string(node));
@@ -132,7 +129,6 @@ void SimCluster::respawn(int node) {
   fabric_->revive_node(node);
   comm_->readmit(node);
 }
-#endif  // HLSMPC_RECOVERY_ENABLED
 
 void SimCluster::run(const Body& body) { run_on(*executor_, body); }
 
@@ -598,8 +594,6 @@ void ClusterComm::allgather(ult::TaskContext& ctx, const void* sendbuf,
 
 // ---- shrink and recover ----
 
-#if HLSMPC_RECOVERY_ENABLED
-
 void ClusterComm::install_view(std::uint64_t expected_epoch,
                                std::uint64_t dead_mask) {
   std::lock_guard<std::mutex> lk(view_mu_);
@@ -725,7 +719,5 @@ void ClusterComm::readmit(int node) {
   // epoch bump keeps any earlier traffic unmatchable anyway).
   std::fill(coll_seq_.begin(), coll_seq_.end(), 0);
 }
-
-#endif  // HLSMPC_RECOVERY_ENABLED
 
 }  // namespace hlsmpc::mpi

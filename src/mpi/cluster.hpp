@@ -60,10 +60,6 @@
 #include "mpi/runtime.hpp"
 #include "mpi/sim_fabric.hpp"
 
-#ifndef HLSMPC_RECOVERY_ENABLED
-#define HLSMPC_RECOVERY_ENABLED 1
-#endif
-
 namespace hlsmpc::mpi {
 
 class SimCluster;
@@ -90,7 +86,6 @@ struct ClusterOptions {
   obs::Recorder* obs = nullptr;
 };
 
-#if HLSMPC_RECOVERY_ENABLED
 /// What ClusterComm::shrink() agreed on, identical on every survivor.
 struct ShrinkReport {
   /// Epoch of the freshly installed view.
@@ -103,7 +98,6 @@ struct ShrinkReport {
   /// Surviving member nodes, ascending.
   std::vector<int> live;
 };
-#endif
 
 /// The cluster-global communicator: one object shared by all global
 /// ranks. Global p2p rides the fabric; collectives are hierarchical
@@ -159,7 +153,6 @@ class ClusterComm {
   void allgather(ult::TaskContext& ctx, const void* sendbuf,
                  std::size_t bytes, void* recvbuf);
 
-#if HLSMPC_RECOVERY_ENABLED
   /// Recover from a NodeDeadError: collective over every rank of every
   /// surviving node (the dead node's ranks have unwound through the
   /// gates). Leaders run the recover.hpp agreement on the set of dead
@@ -180,7 +173,6 @@ class ClusterComm {
   /// and restarts collective tag numbering. Quiescent only (between
   /// run()s).
   void readmit(int node);
-#endif
 
   // ---- typed convenience ----
   template <typename T>
@@ -260,11 +252,9 @@ class ClusterComm {
   /// change only at collectives' edges, so per-rank counters agree and
   /// pre-shrink stragglers can never match post-shrink collectives).
   int next_coll_tag(int grank, std::uint64_t epoch);
-#if HLSMPC_RECOVERY_ENABLED
   /// Swap in the post-agreement view; first leader wins (keyed on the
   /// epoch the agreement ran under), later leaders see the installed one.
   void install_view(std::uint64_t expected_epoch, std::uint64_t dead_mask);
-#endif
   void count_coll(int grank);
 
   SimCluster* cluster_;
@@ -303,7 +293,6 @@ class SimCluster {
   /// The cluster-level recorder from ClusterOptions (may be null).
   obs::Recorder* obs() const { return opts_.obs; }
 
-#if HLSMPC_RECOVERY_ENABLED
   /// Replace a dead node with a fresh runtime (the simulated analogue of
   /// spawning a replacement process) and readmit it into the
   /// communicator's view. Quiescent only — call between run()s; the
@@ -312,7 +301,6 @@ class SimCluster {
   /// (operand = node) models the replacement failing to launch. Throws
   /// MpiError when `node` is not dead.
   void respawn(int node);
-#endif
 
   using Body = std::function<void(ClusterComm&, ult::TaskContext&)>;
   /// Run `body` once per cluster-global rank on the cluster's executor.

@@ -1,10 +1,7 @@
 #include "mpi/coll_shm.hpp"
 
-#if HLSMPC_COLL_SHM_ENABLED
-
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <numeric>
 #include <unordered_set>
 
@@ -28,11 +25,6 @@ ShmCollEngine::ShmCollEngine(const topo::Machine& machine,
       throw MpiError("ShmCollEngine: rank pinned outside the machine");
     }
   }
-#if !HLSMPC_COLL_PIPELINE_ENABLED
-  // Pipeline kill switch: no payload is ever strictly above SIZE_MAX, so
-  // the selector degenerates to the two-way staged/zero-copy choice.
-  cfg_.pipeline_threshold = std::numeric_limits<std::size_t>::max();
-#endif
   if (cfg_.fragment_bytes == 0) cfg_.fragment_bytes = 1;
   Level flat;
   auto everyone = std::make_unique<Group>();
@@ -854,5 +846,3 @@ void ShmCollEngine::reduce_scatter_block(ult::TaskContext& ctx, int me,
 }
 
 }  // namespace hlsmpc::mpi
-
-#endif  // HLSMPC_COLL_SHM_ENABLED

@@ -99,10 +99,6 @@
 #include "ult/episode_barrier.hpp"
 #include "ult/task_context.hpp"
 
-#ifndef HLSMPC_COLL_PIPELINE_ENABLED
-#define HLSMPC_COLL_PIPELINE_ENABLED 1
-#endif
-
 namespace hlsmpc::mpi {
 
 class ShmCollEngine {

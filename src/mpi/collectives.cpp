@@ -1,9 +1,9 @@
 // Collective operations: a dispatch layer over two engines.
 //
-// When a communicator has a shared-memory engine (HLSMPC_COLL_SHM and >= 2
-// ranks), data-moving collectives route to it — zero-copy reads between
-// ranks of one address space, see coll_shm.hpp. The p2p algorithms below
-// remain the fallback (engine compiled out or disabled, size-1 comms, and
+// When a communicator has a shared-memory engine (CollConfig::enable_shm
+// and >= 2 ranks), data-moving collectives route to it — zero-copy reads
+// between ranks of one address space, see coll_shm.hpp. The p2p algorithms
+// below remain the fallback (engine disabled, size-1 comms, and
 // gather/gatherv/scatter, which keep their posted-receive form). They run
 // in a dedicated context so they can never match application
 // point-to-point traffic, and target intra-node scale (<= a few dozen
@@ -93,13 +93,11 @@ void Comm::barrier(ult::TaskContext& ctx) {
   const int n = size();
   const int tag = next_coll_tag(me);
   if (n == 1) return;
-#if HLSMPC_COLL_SHM_ENABLED
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(shm_->barrier_alg());
     shm_->barrier(ctx, me);
     return;
   }
-#endif
   // Dissemination: after ceil(log2 n) rounds every rank has transitively
   // heard from every other rank.
   for (int step = 1; step < n; step <<= 1) {
@@ -120,13 +118,11 @@ void Comm::bcast(ult::TaskContext& ctx, void* buf, std::size_t bytes,
   const int n = size();
   const int tag = next_coll_tag(me);
   if (n == 1) return;
-#if HLSMPC_COLL_SHM_ENABLED
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
     shm_->bcast(ctx, me, buf, bytes, root);
     return;
   }
-#endif
   const int vr = (me - root + n) % n;  // rank relative to root
 
   // Binomial tree: receive from the parent, then forward to children.
@@ -158,13 +154,11 @@ void Comm::reduce(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
   const int n = size();
   const int tag = next_coll_tag(me);
   const std::size_t bytes = count * elem_bytes;
-#if HLSMPC_COLL_SHM_ENABLED
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
     shm_->reduce(ctx, me, sendbuf, recvbuf, count, elem_bytes, fn, root);
     return;
   }
-#endif
 
   // Local accumulator: rank 0 with root 0 may reduce in place into
   // recvbuf; everyone else uses a scratch buffer. sendbuf == recvbuf
@@ -216,13 +210,11 @@ void Comm::allreduce(ult::TaskContext& ctx, const void* sendbuf,
                      void* recvbuf, std::size_t count, std::size_t elem_bytes,
                      const ReduceFn& fn) {
   HLSMPC_OBS_COLL(allreduce, count * elem_bytes);
-#if HLSMPC_COLL_SHM_ENABLED
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(shm_->select(count * elem_bytes));
     shm_->allreduce(ctx, rank(ctx), sendbuf, recvbuf, count, elem_bytes, fn);
     return;
   }
-#endif
   reduce(ctx, sendbuf, recvbuf, count, elem_bytes, fn, 0);
   bcast(ctx, recvbuf, count * elem_bytes, 0);
 }
@@ -306,13 +298,11 @@ void Comm::scatter(ult::TaskContext& ctx, const void* sendbuf,
 void Comm::allgather(ult::TaskContext& ctx, const void* sendbuf,
                      std::size_t bytes, void* recvbuf) {
   HLSMPC_OBS_COLL(allgather, bytes);
-#if HLSMPC_COLL_SHM_ENABLED
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
     shm_->allgather(ctx, rank(ctx), sendbuf, bytes, recvbuf);
     return;
   }
-#endif
   // Gather to rank 0, then broadcast the assembled vector. Two internal
   // collectives; per-rank tag counters advance identically on all ranks.
   gather(ctx, sendbuf, bytes, recvbuf, 0);
@@ -325,14 +315,12 @@ void Comm::alltoall(ult::TaskContext& ctx, const void* sendbuf,
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
-#if HLSMPC_COLL_SHM_ENABLED
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(
         shm_->select(bytes_per_rank * static_cast<std::size_t>(n)));
     shm_->alltoall(ctx, me, sendbuf, bytes_per_rank, recvbuf);
     return;
   }
-#endif
   const auto* in = static_cast<const std::byte*>(sendbuf);
   auto* out = static_cast<std::byte*>(recvbuf);
   // Self block.
@@ -364,13 +352,11 @@ void Comm::scan(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
   const int n = size();
   const int tag = next_coll_tag(me);
   const std::size_t bytes = count * elem_bytes;
-#if HLSMPC_COLL_SHM_ENABLED
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
     shm_->scan(ctx, me, sendbuf, recvbuf, count, elem_bytes, fn);
     return;
   }
-#endif
   // Chain: receive the prefix of ranks [0, me), fold own value in AS THE
   // RIGHT OPERAND — prefix (+) own, in rank order — and pass the result
   // on. (Folding fn(own, prefix) computes own (+) prefix, which is only
@@ -403,13 +389,11 @@ void Comm::exscan(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
   const int n = size();
   const int tag = next_coll_tag(me);
   const std::size_t bytes = count * elem_bytes;
-#if HLSMPC_COLL_SHM_ENABLED
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
     shm_->exscan(ctx, me, sendbuf, recvbuf, count, elem_bytes, fn);
     return;
   }
-#endif
   // Chain carrying the inclusive prefix; each rank hands its successor
   // prefix(0..me) but keeps prefix(0..me-1) for itself. Rank 0's recvbuf
   // is untouched (MPI_Exscan semantics). The inclusive prefix must fold as
@@ -444,14 +428,12 @@ void Comm::reduce_scatter_block(ult::TaskContext& ctx, const void* sendbuf,
   const int me = rank(ctx);
   const int n = size();
   const std::size_t block = count * elem_bytes;
-#if HLSMPC_COLL_SHM_ENABLED
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(shm_->select(block * static_cast<std::size_t>(n)));
     shm_->reduce_scatter_block(ctx, me, sendbuf, recvbuf, count, elem_bytes,
                                fn);
     return;
   }
-#endif
   // Reduce the full vector to rank 0, then scatter the blocks. Simple and
   // correct at node scale; both phases use their own collective tags.
   std::vector<std::byte> full(me == 0 ? block * static_cast<std::size_t>(n)

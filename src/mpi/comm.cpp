@@ -29,7 +29,6 @@ Comm::Comm(Runtime& rt, std::vector<int> group, int pt2pt_context,
     }
     rank_of_task_[static_cast<std::size_t>(task)] = static_cast<int>(r);
   }
-#if HLSMPC_COLL_SHM_ENABLED
   // The engine attaches here so split/dup-created communicators get one
   // automatically. Its leader tree follows where this comm's members are
   // actually pinned, not their rank numbers.
@@ -41,7 +40,6 @@ Comm::Comm(Runtime& rt, std::vector<int> group, int pt2pt_context,
     shm_ = std::make_unique<ShmCollEngine>(rt.machine(), std::move(cpus),
                                            rt.coll_config(), &rt.stats());
   }
-#endif
 }
 
 Comm::~Comm() = default;
@@ -132,7 +130,6 @@ Comm& Comm::split(ult::TaskContext& ctx, int color, int key) {
 
 Comm& Comm::dup(ult::TaskContext& ctx) { return split(ctx, 0, rank(ctx)); }
 
-#if HLSMPC_RMA_ENABLED
 rma::Win& Comm::win_create(ult::TaskContext& ctx, void* base,
                            std::size_t bytes, const rma::WinOptions& opts) {
   const int me = rank(ctx);
@@ -171,6 +168,5 @@ void Comm::win_free(ult::TaskContext& ctx, rma::Win& win) {
   barrier(ctx);
   if (me == 0) rt_->release_win(win);
 }
-#endif  // HLSMPC_RMA_ENABLED
 
 }  // namespace hlsmpc::mpi

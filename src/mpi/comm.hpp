@@ -35,21 +35,15 @@
 #include "mpi/types.hpp"
 #include "ult/task_context.hpp"
 
-#ifndef HLSMPC_RMA_ENABLED
-#define HLSMPC_RMA_ENABLED 1
-#endif
-
 namespace hlsmpc::mpi {
 
 class Runtime;
 class ShmCollEngine;
 
-#if HLSMPC_RMA_ENABLED
 namespace rma {
 class Win;
 struct WinOptions;
 }  // namespace rma
-#endif
 
 class Comm {
  public:
@@ -146,7 +140,6 @@ class Comm {
   Comm& split(ult::TaskContext& ctx, int color, int key);
   Comm& dup(ult::TaskContext& ctx);
 
-#if HLSMPC_RMA_ENABLED
   // ---- one-sided (RMA) windows ----
   /// Collective. Exposes each rank's [base, base+bytes) for one-sided
   /// access by every member of this comm (ranks may expose different
@@ -161,7 +154,6 @@ class Comm {
   /// Collective. Quiesces the window with a final fence, then destroys
   /// it. The reference is dead for every rank after this returns.
   void win_free(ult::TaskContext& ctx, rma::Win& win);
-#endif
 
   // ---- typed convenience ----
   template <typename T>

@@ -11,7 +11,7 @@
 //   tcp_transport.hpp  stream-socket fabric (self-gated on HLSMPC_TCP)
 //   runtime.hpp        per-node Runtime: ranks, buffers, world Comm
 //   comm.hpp           Comm: p2p + collectives for one node
-//   rma.hpp            one-sided windows (self-gated on HLSMPC_RMA)
+//   rma.hpp            one-sided windows over HLS scopes
 //   cluster.hpp        SimCluster/ClusterComm: multi-node hierarchy
 //
 // detail/mailbox.hpp is deliberately absent: mpi::detail is transport

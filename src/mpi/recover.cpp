@@ -1,7 +1,5 @@
 #include "mpi/recover.hpp"
 
-#if HLSMPC_RECOVERY_ENABLED
-
 #include <cstring>
 #include <string>
 
@@ -307,5 +305,3 @@ void survivor_allreduce(ult::TaskContext& ctx, RecoveryChannel& ch,
 }
 
 }  // namespace hlsmpc::mpi::recover
-
-#endif  // HLSMPC_RECOVERY_ENABLED

@@ -39,12 +39,6 @@
 
 #include "mpi/transport.hpp"
 
-#ifndef HLSMPC_RECOVERY_ENABLED
-#define HLSMPC_RECOVERY_ENABLED 1
-#endif
-
-#if HLSMPC_RECOVERY_ENABLED
-
 #include <chrono>
 #include <cstdint>
 #include <vector>
@@ -176,5 +170,3 @@ void survivor_allreduce(ult::TaskContext& ctx, RecoveryChannel& ch,
                             std::chrono::milliseconds(10000));
 
 }  // namespace hlsmpc::mpi::recover
-
-#endif  // HLSMPC_RECOVERY_ENABLED

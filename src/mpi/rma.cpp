@@ -1,7 +1,5 @@
 #include "mpi/rma.hpp"
 
-#if HLSMPC_RMA_ENABLED
-
 #include <chrono>
 #include <cstring>
 #include <sstream>
@@ -399,5 +397,3 @@ void Win::lock_stuck(const ult::TaskContext& ctx, int me, int target,
 }
 
 }  // namespace hlsmpc::mpi::rma
-
-#endif  // HLSMPC_RMA_ENABLED

@@ -43,12 +43,6 @@
 #include "obs/event.hpp"
 #include "ult/task_context.hpp"
 
-#ifndef HLSMPC_RMA_ENABLED
-#define HLSMPC_RMA_ENABLED 1
-#endif
-
-#if HLSMPC_RMA_ENABLED
-
 namespace hlsmpc::obs {
 class Recorder;
 }  // namespace hlsmpc::obs
@@ -178,5 +172,3 @@ class Win {
 };
 
 }  // namespace hlsmpc::mpi::rma
-
-#endif  // HLSMPC_RMA_ENABLED

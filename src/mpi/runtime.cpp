@@ -1,5 +1,6 @@
 #include "mpi/runtime.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <numeric>
 #include <thread>
@@ -13,13 +14,16 @@ namespace hlsmpc::mpi {
 namespace {
 
 /// Parse env var `name` as a non-negative integer into `out`; unset or
-/// unparsable values leave `out` untouched.
+/// unparsable values leave `out` untouched. Only plain decimal digits
+/// parse: strtoull alone would take "-1" as 2^64-1 and saturate an
+/// out-of-range number.
 void env_size(const char* name, std::size_t& out) {
   const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return;
+  if (v == nullptr || *v < '0' || *v > '9') return;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0') return;
+  if (*end != '\0' || errno == ERANGE) return;
   out = static_cast<std::size_t>(parsed);
 }
 
@@ -141,7 +145,6 @@ void Runtime::reset_collectives() {
   }
 }
 
-#if HLSMPC_RMA_ENABLED
 rma::Win& Runtime::register_win(std::unique_ptr<rma::Win> win) {
   std::lock_guard<std::mutex> lk(comms_mu_);
   wins_.push_back(std::move(win));
@@ -157,7 +160,6 @@ void Runtime::release_win(rma::Win& win) {
     }
   }
 }
-#endif
 
 void Runtime::run(const std::function<void(Comm&, ult::TaskContext&)>& body) {
   std::vector<int> pins(static_cast<std::size_t>(nranks_));

@@ -46,9 +46,8 @@ struct Options {
   /// (mpc::Node does). Null = no MPI-side recording. Ignored when the
   /// layer is compiled out (HLSMPC_OBS=OFF).
   obs::Recorder* obs = nullptr;
-  /// Shared-memory collective engine tuning; ignored when the engine is
-  /// compiled out (HLSMPC_COLL_SHM=OFF). Runtime construction applies the
-  /// HLSMPC_COLL_* environment overrides on top (coll_config_from_env).
+  /// Shared-memory collective engine tuning. Runtime construction applies
+  /// the HLSMPC_COLL_* environment overrides on top (coll_config_from_env).
   CollConfig coll;
 };
 
@@ -116,14 +115,12 @@ class Runtime {
   // -- internals used by Comm --
   int alloc_context();
   Comm& register_comm(std::unique_ptr<Comm> comm);
-#if HLSMPC_RMA_ENABLED
   /// Take ownership of a collectively created RMA window (Comm::win_create
   /// registers through here; windows outlive the creating run() call until
   /// released).
   rma::Win& register_win(std::unique_ptr<rma::Win> win);
   /// Destroy a registered window (Comm::win_free). No-op for unknown wins.
   void release_win(rma::Win& win);
-#endif
 
  private:
   topo::Machine machine_;
@@ -133,9 +130,7 @@ class Runtime {
   std::unique_ptr<BufferManager> buffers_;
   std::unique_ptr<Transport> transport_;
   std::vector<std::unique_ptr<Comm>> comms_;
-#if HLSMPC_RMA_ENABLED
   std::vector<std::unique_ptr<rma::Win>> wins_;  // guarded by comms_mu_
-#endif
   std::mutex comms_mu_;
   std::atomic<int> next_context_{0};
   TraceHook* trace_hook_ = nullptr;

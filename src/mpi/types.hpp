@@ -142,9 +142,11 @@ using ReduceFn =
 /// Collective-engine tuning (Runtime Options::coll). The shared-memory
 /// engine exploits the fact that all ranks of a node live in one address
 /// space: collectives move data through a per-communicator shared control
-/// block instead of mailbox messages. The compile-time switch
-/// HLSMPC_COLL_SHM (macro HLSMPC_COLL_SHM_ENABLED) removes the dispatch
-/// entirely, keeping the p2p fallback algorithms buildable and testable.
+/// block instead of mailbox messages. Every engine and path is always
+/// compiled in; these fields (or the HLSMPC_COLL_* environment overrides,
+/// see coll_config_from_env) pick among them at runtime — enable_shm =
+/// false keeps the p2p algorithms, the reference the engine is tested
+/// and benchmarked against.
 struct CollConfig {
   /// Route collectives through the shared-memory engine when a
   /// communicator has >= 2 ranks. Off = always the p2p algorithms
@@ -164,8 +166,8 @@ struct CollConfig {
   /// buffers into `fragment_bytes` fragments with per-fragment
   /// release-publish sequence numbers, so consumers copy fragment k
   /// while the producer still works on fragment k+1.
-  /// SIZE_MAX restores the two-way staged/zero-copy selector (and the
-  /// HLSMPC_COLL_PIPELINE=OFF build forces exactly that). The staged arm
+  /// SIZE_MAX (env HLSMPC_COLL_PIPELINE_THRESHOLD=0) restores the two-way
+  /// staged/zero-copy selector. The staged arm
   /// wins ties: bytes <= small_threshold is checked first. Below ~256 KB
   /// per rank the whole collective fits in L2 on current parts and the
   /// arms measure even, so the crossover sits past that point.

@@ -435,8 +435,7 @@ TEST_P(CollParam, SplitCommunicatorsReduceCorrectly) {
 // pipelines. Counts straddle every fragment boundary: 256 Mats = 4096 B
 // sits exactly ON the pipeline threshold (still monolithic zero-copy),
 // 257 crosses it, 384/385 and 512/513 straddle the third and fourth
-// fragment boundaries, 1000 ends in a short tail fragment. Under the
-// coll-pipeline-off preset the same sweep exercises the two-way selector.
+// fragment boundaries, 1000 ends in a short tail fragment.
 
 namespace {
 
@@ -741,8 +740,6 @@ TEST_P(CollSelectorBoundary, InPlaceAndZeroCountAtEveryThresholdEdge) {
   EXPECT_EQ(bad.load(), 0);
 }
 
-#if HLSMPC_COLL_SHM_ENABLED
-
 TEST(CollShmEngine, AttachesAndFollowsTopology) {
   // nehalem_ex(2): 2 sockets x 8 cores, one rank per cpu. The leader tree
   // must pick up the shared-cache level (two groups of 8) below the node
@@ -837,7 +834,6 @@ TEST(CollShmEngine, SelectorArmsAndFragmentGeometry) {
   EXPECT_EQ(eng.select(1024), obs::CollAlg::shm_flat);
   EXPECT_EQ(eng.select(1025), obs::CollAlg::shm_hier);
   EXPECT_EQ(eng.select(4096), obs::CollAlg::shm_hier);
-#if HLSMPC_COLL_PIPELINE_ENABLED
   EXPECT_EQ(eng.select(4097), obs::CollAlg::shm_pipelined);
   // Geometry is pure in (count, elem_bytes, config): 2048-byte fragments
   // of 16-byte elements hold 128 elements, and a one-past-boundary count
@@ -851,14 +847,14 @@ TEST(CollShmEngine, SelectorArmsAndFragmentGeometry) {
   const auto big = eng.frag_geom(3, 64 * 1024);
   EXPECT_EQ(big.frag_elems, 1u);
   EXPECT_EQ(big.nfrags, 3u);
-#else
-  // Pipeline compiled out: the ctor clamps the threshold to SIZE_MAX.
-  EXPECT_EQ(eng.select(4097), obs::CollAlg::shm_hier);
-  EXPECT_EQ(eng.select(std::size_t{1} << 30), obs::CollAlg::shm_hier);
-#endif
+  // pipeline_threshold = SIZE_MAX (env HLSMPC_COLL_PIPELINE_THRESHOLD=0):
+  // no payload is strictly above it, so the selector keeps its two-way
+  // staged/zero-copy form.
+  cfg.pipeline_threshold = SIZE_MAX;
+  mpi::ShmCollEngine two_way(m, {0, 1}, cfg, &stats);
+  EXPECT_EQ(two_way.select(4097), obs::CollAlg::shm_hier);
+  EXPECT_EQ(two_way.select(std::size_t{1} << 30), obs::CollAlg::shm_hier);
 }
-
-#if HLSMPC_COLL_PIPELINE_ENABLED
 
 TEST(CollShmEngine, PipelinedStatsCountCallsAndFragments) {
   topo::Machine m = topo::Machine::nehalem_ex(1);
@@ -958,16 +954,12 @@ TEST(CollShmEngine, RegistrationCacheReusesResolvedBuffers) {
   EXPECT_EQ(stats.reg_cache_misses.load(std::memory_order_relaxed), 6u);
 }
 
-#endif  // HLSMPC_COLL_PIPELINE_ENABLED
-
 // ---- schedule exploration of fragment publication order ----
 
 TEST(CollPipelineExplore, FragmentedAllreduceHoldsUnderEverySchedule) {
   // Three ranks run a pipelined non-commutative allreduce on the
   // deterministic executor; the explorer sweeps fragment publication
   // orders through the coll:frag-publish sync points (and every yield).
-  // Under the coll-pipeline-off preset the same sweep explores the
-  // monolithic zero-copy path.
   auto attempt = [](hlsmpc::ult::Executor& ex) {
     topo::Machine m = topo::Machine::generic(1, 4);
     mpi::TransportStats stats;
@@ -1092,5 +1084,3 @@ TEST(CollPipelineExplore, SeededEarlyPublicationIsFoundAndReplays) {
         << e.what();
   }
 }
-
-#endif  // HLSMPC_COLL_SHM_ENABLED

@@ -222,8 +222,6 @@ TEST(TcpTransport, SurvivesSignalStormDuringLargeTransfer) {
   EXPECT_EQ(WEXITSTATUS(wstatus), 0);
 }
 
-#if HLSMPC_RECOVERY_ENABLED
-
 // ---- shrink agreement + survivor collective over the real socket mesh ----
 
 namespace recover = mpi::recover;
@@ -449,5 +447,3 @@ TEST(TcpRecover, CoordinatorFailoverElectsNextSurvivor) {
     EXPECT_EQ(WEXITSTATUS(wstatus), 0) << "child " << i;
   }
 }
-
-#endif  // HLSMPC_RECOVERY_ENABLED

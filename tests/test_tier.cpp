@@ -523,7 +523,6 @@ TEST(TierRuntime, SpillFilesAreRemovedAtDestruction) {
 
 // ---- incremental checkpoints over dirty page tracking ------------------
 
-#if HLSMPC_RECOVERY_ENABLED
 TEST(TierRuntime, IncrementalCheckpointSnapshotsOnlyDirtyPages) {
   const std::string ckpt_dir = fresh_dir("hls_tier_ckpt");
   const std::string tier_dir = fresh_dir("hls_tier_ckpt_tier");
@@ -834,4 +833,3 @@ TEST(TierRuntime, SoftwareCrcTrailerStillRestores) {
   }
   EXPECT_EQ(changed, 1u);
 }
-#endif  // HLSMPC_RECOVERY_ENABLED

@@ -436,7 +436,8 @@ TEST(CollConfigEnv, PipelineThresholdZeroMeansNever) {
 }
 
 TEST(CollConfigEnv, GarbageIsIgnored) {
-  EnvGuard small("HLSMPC_COLL_SMALL_THRESHOLD"), shm("HLSMPC_COLL_SHM");
+  EnvGuard small("HLSMPC_COLL_SMALL_THRESHOLD"), shm("HLSMPC_COLL_SHM"),
+      frag("HLSMPC_COLL_FRAGMENT_BYTES");
   small.set("not-a-number");
   shm.set("banana");
   mpi::CollConfig base;
@@ -444,6 +445,16 @@ TEST(CollConfigEnv, GarbageIsIgnored) {
   const mpi::CollConfig got = mpi::coll_config_from_env(base);
   EXPECT_EQ(got.small_threshold, 321u);
   EXPECT_EQ(got.enable_shm, base.enable_shm);
+  // A sign or an out-of-range number is garbage too, not 2^64-1 clamped
+  // to the top of the range.
+  for (const char* bad : {"-1", "99999999999999999999999"}) {
+    small.set(bad);
+    frag.set(bad);
+    const mpi::CollConfig dflt =
+        mpi::coll_config_from_env(mpi::CollConfig{});
+    EXPECT_EQ(dflt.small_threshold, mpi::CollConfig{}.small_threshold) << bad;
+    EXPECT_EQ(dflt.fragment_bytes, mpi::CollConfig{}.fragment_bytes) << bad;
+  }
 }
 
 // ---- retry backoff jitter seeding --------------------------------------
