@@ -95,6 +95,21 @@ void BM_GetAddrNode(benchmark::State& state) {
 }
 BENCHMARK(BM_GetAddrNode);
 
+void BM_RawPointerLoad(benchmark::State& state) {
+  // The floor BM_GetAddrNode is gated against: the same DoNotOptimize
+  // loop over a pointer resolved once and reloaded from memory each
+  // iteration, as if the call had been hoisted out of the loop.
+  static SyncFixture* f =
+      new SyncFixture(1, topo::node_scope(), /*force_flat=*/false);
+  ult::ThreadTaskContext ctx = make_ctx(state, f->machine);
+  f->rt.bind_task(ctx);
+  void* volatile resolved = f->rt.get_addr(f->var.handle(), ctx);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(static_cast<void*>(resolved));
+  }
+}
+BENCHMARK(BM_RawPointerLoad);
+
 void BM_GetAddrNodeMT(benchmark::State& state) {
   // Concurrent warm resolution from several tasks: each hits its own
   // per-task address cache, so this should scale like the 1-thread case.

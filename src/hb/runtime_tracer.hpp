@@ -3,8 +3,10 @@
 //
 // Attach a RuntimeTracer to the MPI runtime before running a program:
 // every point-to-point completion is recorded automatically via the
-// runtime's TraceHook (collectives are built over p2p, so their
-// synchronization structure is captured too). The application reports
+// runtime's TraceHook. Collectives are not seen yet: they run on
+// ShmCollEngine and send no p2p message, so a barrier or allreduce adds
+// no sync edge to the trace (ROADMAP: "An eligibility tracer that sees
+// collectives"). The application reports
 // reads/writes to candidate global variables through on_read/on_write —
 // the instrumentation a compiler pass would insert. After the run,
 // trace() assembles an hb::Trace and advise() runs the Advisor.
@@ -50,7 +52,8 @@ class RuntimeTracer final : public mpi::TraceHook, public obs::Sink {
   void on_recv(int task, int peer_task, int context, int tag) override;
 
   // obs::Sink: p2p events feed the same record stream; everything else is
-  // ignored (barriers/collectives are captured through their p2p parts).
+  // ignored, collective events included (they carry no sync edge yet; see
+  // the header comment).
   void on_event(const obs::Event& e) override;
 
   /// Assemble the recorded events into an analyzable trace.

@@ -70,14 +70,17 @@ Runtime::Runtime(const topo::Machine& machine, int ntasks, Options opts)
 #endif
       ntasks_(ntasks),
       num_scopes_(reg_.scopes().num_scopes()),
-      caches_(static_cast<std::size_t>(std::max(ntasks, 1))) {
+      caches_(static_cast<std::size_t>(std::max(ntasks, 1))),
+      ncaches_(static_cast<int>(caches_.size())) {
   storage_.set_tier_config(opts.tier);
   if (opts.watchdog_ms != 0) sync_.set_watchdog_ms(opts.watchdog_ms);
 #if HLSMPC_OBS_ENABLED
   if (opts.obs_sink != nullptr) obs_->chain(opts.obs_sink);
   for (std::size_t t = 0; t < caches_.size(); ++t) {
-    caches_[t].warm_hits =
-        obs_->counter_cell(static_cast<int>(t), obs::Counter::get_addr_warm);
+    if (std::atomic<std::uint64_t>* cell = obs_->counter_cell(
+            static_cast<int>(t), obs::Counter::get_addr_warm)) {
+      caches_[t].warm_hits = cell;
+    }
   }
 #else
   (void)opts;
@@ -104,51 +107,33 @@ void Runtime::bind_task(const ult::TaskContext& ctx) {
   }
 }
 
-void* Runtime::get_addr(const VarHandle& h, ult::TaskContext& ctx) {
-  if (!h.valid()) throw HlsError("get_addr: invalid variable handle");
-  const int sid = h.sid >= 0 ? h.sid : scope_id(reg_.scopes(), h.scope);
-  const std::size_t idx =
-      static_cast<std::size_t>(h.module) *
-          static_cast<std::size_t>(num_scopes_) +
-      static_cast<std::size_t>(sid);
-  const int task = ctx.task_id();
-  TaskCache* cache = nullptr;
-  if (task >= 0 && task < static_cast<int>(caches_.size())) {
-    cache = &caches_[static_cast<std::size_t>(task)];
-    // Warm path: one array load plus an offset add. The cpu check guards
-    // against any path that changed the task's cpu without dropping the
-    // cache (belt and braces on top of migrate/bind_task invalidation).
-    if (cache->cpu == ctx.cpu() && idx < cache->entries.size()) {
-      const CacheEntry& e = cache->entries[idx];
-      if (e.base != nullptr) {
-        if (h.offset > e.size || h.size > e.size - h.offset) {
-          throw HlsError(
-              "get_addr: accessed range [offset, offset + size) beyond "
-              "module region");
-        }
-#if HLSMPC_OBS_ENABLED
-        if (std::atomic<std::uint64_t>* c = cache->warm_hits) {
-          c->store(c->load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
-        }
-#endif
-        return e.base + h.offset;
-      }
-    }
-  }
+void Runtime::throw_invalid_handle() {
+  throw HlsError("get_addr: invalid variable handle");
+}
+
+void Runtime::throw_range_error() {
+  throw HlsError(
+      "get_addr: accessed range [offset, offset + size) beyond module "
+      "region");
+}
+
+void* Runtime::get_addr_cold(const VarHandle& h, ult::TaskContext& ctx,
+                             std::size_t idx) {
   // Cold (or post-move) path: resolve through storage — which validates
   // the accessed range and prices file-tier regions through the page
   // cache, so a task's first touch triggers read-ahead that serves its
   // co-resident tasks — then fill the cache for this cpu.
   const StorageManager::Resolved r = storage_.resolve_accessed(
       h.scope, h.module, h.offset, h.size, ctx.cpu(), &ctx);
-  if (cache != nullptr) {
-    if (cache->cpu != ctx.cpu()) {
-      cache->entries.clear();
-      cache->cpu = ctx.cpu();
+  const int task = ctx.task_id();
+  if (static_cast<unsigned>(task) < static_cast<unsigned>(ncaches_)) {
+    TaskCache& cache = caches_[static_cast<std::size_t>(task)];
+    if (cache.cpu != ctx.cpu()) {
+      cache.entries.clear();
+      cache.cpu = ctx.cpu();
     }
-    if (idx >= cache->entries.size()) cache->entries.resize(idx + 1);
-    cache->entries[idx] = CacheEntry{r.base, r.size};
+    if (idx >= cache.entries.size()) cache.entries.resize(idx + 1);
+    cache.entries[idx] = CacheEntry{r.base, r.size};
   }
 #if HLSMPC_OBS_ENABLED
   obs_->count(task, obs::Counter::get_addr_cold);

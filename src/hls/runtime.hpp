@@ -14,6 +14,7 @@
 // ScopeSet once and pass it directly.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -122,11 +123,51 @@ class Runtime {
   /// (TaskView's constructor does it): records the task's pinning.
   void bind_task(const ult::TaskContext& ctx);
 
-  /// hls_get_addr_<scope> — the accessor the compiler would emit. Warm
-  /// calls hit the task's resolved-address cache: one array load plus an
-  /// offset add, no atomics and no locks. `ctx` is non-const because a
-  /// cold call may suspend at the first-touch sync_point.
-  void* get_addr(const VarHandle& h, ult::TaskContext& ctx);
+  /// hls_get_addr_<scope> — the accessor the compiler would emit. The
+  /// warm path is inline so call sites can hoist its loop-invariant work;
+  /// it runs five checks in this order — handle validity (plus the `sid`
+  /// fallback for hand-built handles), task-id bounds, the cache's `cpu`
+  /// against `ctx.cpu()`, a resolved entry at the handle's index, and
+  /// `[offset, offset + size)` within the cached region — then bumps the
+  /// task's own `get_addr_warm` cell (a relaxed load/add/store, no RMW)
+  /// and returns base + offset. No locks. An invalid handle, a cold or
+  /// post-move entry and a range failure leave the inline path; a range
+  /// failure on a warm entry throws without re-resolving. `ctx` is
+  /// non-const because a cold call may suspend at the first-touch
+  /// sync_point.
+  void* get_addr(const VarHandle& h, ult::TaskContext& ctx) {
+    if (!h.valid()) throw_invalid_handle();
+    const int sid = h.sid >= 0 ? h.sid : scope_id(reg_.scopes(), h.scope);
+    const std::size_t idx =
+        static_cast<std::size_t>(h.module) *
+            static_cast<std::size_t>(num_scopes_) +
+        static_cast<std::size_t>(sid);
+    const int task = ctx.task_id();
+    if (static_cast<unsigned>(task) < static_cast<unsigned>(ncaches_)) {
+      const TaskCache& c = caches_[static_cast<std::size_t>(task)];
+      // The cpu check guards against any path that changed the task's
+      // cpu without dropping the cache: ult::Scheduler and the executors
+      // re-pin through ctx.set_cpu without calling the runtime.
+      if (c.cpu == ctx.cpu() && idx < c.entries.size()) {
+        const CacheEntry& e = c.entries[idx];
+        if (e.base != nullptr) {
+          if (h.offset > e.size || h.size > e.size - h.offset) {
+            throw_range_error();
+          }
+          // Formed before the bump: the counter store may alias anything,
+          // so nothing read above has to be reloaded after it.
+          std::byte* const addr = e.base + h.offset;
+#if HLSMPC_OBS_ENABLED
+          std::atomic<std::uint64_t>& n = *c.warm_hits;
+          n.store(n.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+#endif
+          return addr;
+        }
+      }
+    }
+    return get_addr_cold(h, ctx, idx);
+  }
 
   // Scope-level entry points — THE canonical directive core (what the
   // compiled calls pass after the compiler resolved the variable lists).
@@ -245,13 +286,27 @@ class Runtime {
     /// The task's get_addr_warm counter cell, resolved once at
     /// construction: the warm path bumps it with one relaxed
     /// load/add/store instead of going through Recorder::count()'s
-    /// bounds check and block indexing (which cost ~25% of the ~4ns
-    /// path). Null when the recorder is sized below this task id.
-    std::atomic<std::uint64_t>* warm_hits = nullptr;
+    /// bounds check and block indexing (which cost ~25% of the ~2.5ns
+    /// inline path; DESIGN §9). Never null: a task the recorder has no
+    /// block for counts into `unrecorded`, so the warm path needs no
+    /// null test.
+    std::atomic<std::uint64_t>* warm_hits = &unrecorded;
+    std::atomic<std::uint64_t> unrecorded{0};
 #endif
   };
 
   void invalidate_cache(int task);
+
+  /// get_addr's out-of-line miss path: resolves through storage (which
+  /// validates the range and prices file-tier regions), refills the
+  /// task's cache for its current cpu and counts get_addr_cold. `idx` is
+  /// the cache index the inline path computed. Marked cold, like the
+  /// throw helpers, so call sites lay the warm hit out as the straight
+  /// fall-through path.
+  [[gnu::cold]] void* get_addr_cold(const VarHandle& h, ult::TaskContext& ctx,
+                                    std::size_t idx);
+  [[noreturn, gnu::cold]] static void throw_invalid_handle();
+  [[noreturn, gnu::cold]] static void throw_range_error();
 
   topo::Machine machine_;
   topo::ScopeMap sm_;
@@ -267,6 +322,8 @@ class Runtime {
   int ntasks_;
   int num_scopes_;
   std::vector<TaskCache> caches_;
+  /// caches_.size(), kept as a plain count for the inline bounds check.
+  int ncaches_;
 };
 
 }  // namespace hlsmpc::hls

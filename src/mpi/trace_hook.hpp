@@ -4,10 +4,12 @@
 // retrieving "during one execution of the code, all memory accesses to
 // global variables augmented with the synchronizations induced by the MPI
 // calls". The runtime exposes exactly those synchronizations through this
-// interface: every point-to-point completion is reported (collectives are
-// implemented over p2p, so their synchronization structure is captured
-// for free). hb::RuntimeTracer implements the interface and assembles an
-// hb::Trace for the eligibility analyzer.
+// interface: every point-to-point completion is reported. Collectives are
+// not: in-node collectives run on ShmCollEngine and send no p2p message,
+// so the synchronization they induce is not seen through this hook yet
+// (ROADMAP: "An eligibility tracer that sees collectives").
+// hb::RuntimeTracer implements the interface and assembles an hb::Trace
+// for the eligibility analyzer.
 #pragma once
 
 namespace hlsmpc::mpi {

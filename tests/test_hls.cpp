@@ -16,6 +16,7 @@
 namespace hls = hlsmpc::hls;
 namespace topo = hlsmpc::topo;
 namespace ult = hlsmpc::ult;
+namespace obs = hlsmpc::obs;
 
 namespace {
 
@@ -597,6 +598,100 @@ TEST(HlsStorage, TrailingOverrunRejected) {
     }
   });
   EXPECT_EQ(threw.load(), 1);
+}
+
+// ---------- Runtime::get_addr: the checks its inline warm path keeps ----------
+
+namespace {
+
+/// A thread context bound to `rt` as task `task` on `cpu`.
+ult::ThreadTaskContext bound_ctx(hls::Runtime& rt, int task, int cpu) {
+  ult::ThreadTaskContext ctx;
+  ctx.set_task_id(task);
+  ctx.set_cpu(cpu);
+  rt.bind_task(ctx);
+  return ctx;
+}
+
+#if HLSMPC_OBS_ENABLED
+std::uint64_t counter(const hls::Runtime& rt, int task, obs::Counter c) {
+  return rt.obs()->counter(task, c);
+}
+#endif
+
+}  // namespace
+
+TEST(HlsGetAddr, DefaultHandleThrows) {
+  topo::Machine m = topo::Machine::nehalem_ex(1);
+  hls::Runtime rt(m, 1);
+  hls::ModuleBuilder mb(rt.registry(), "mod");
+  auto v = hls::add_var<int>(mb, "v", topo::node_scope());
+  mb.commit();
+  ult::ThreadTaskContext ctx = bound_ctx(rt, 0, 0);
+  EXPECT_NE(rt.get_addr(v.handle(), ctx), nullptr);  // cache is warm
+  EXPECT_THROW(rt.get_addr(hls::VarHandle{}, ctx), hls::HlsError);
+}
+
+TEST(HlsGetAddr, CpuGuardMissesWhenCpuChangesWithoutBind) {
+  // ult::Scheduler and the executors re-pin through ctx.set_cpu without
+  // calling the runtime; the cache's cpu guard must turn the next call
+  // into a miss that resolves the new cpu's instance.
+  topo::Machine m = topo::Machine::nehalem_ex(2);  // cpu 8 = numa 1
+  hls::Runtime rt(m, 1);
+  hls::ModuleBuilder mb(rt.registry(), "mod");
+  auto v = hls::add_var<int>(mb, "v", topo::numa_scope());
+  mb.commit();
+  const hls::VarHandle h = v.handle();
+  ult::ThreadTaskContext ctx = bound_ctx(rt, 0, 0);
+  void* on_numa0 = rt.get_addr(h, ctx);
+  EXPECT_EQ(rt.get_addr(h, ctx), on_numa0);  // warm hit
+#if HLSMPC_OBS_ENABLED
+  const std::uint64_t cold = counter(rt, 0, obs::Counter::get_addr_cold);
+#endif
+  ctx.set_cpu(8);
+  void* on_numa1 = rt.get_addr(h, ctx);
+  EXPECT_NE(on_numa1, on_numa0);
+  EXPECT_EQ(on_numa1, rt.storage().get_addr(h, 8));
+#if HLSMPC_OBS_ENABLED
+  EXPECT_EQ(counter(rt, 0, obs::Counter::get_addr_cold), cold + 1);
+#endif
+}
+
+TEST(HlsGetAddr, WarmRangeFailureThrowsWithoutResolving) {
+  // A range failure against a warm entry throws from the cached region's
+  // size alone: no storage resolve (get_addr_cold), no page-cache touch.
+  const std::string dir = testing::TempDir() + "hls_getaddr_warm_range";
+  topo::Machine m = topo::Machine::nehalem_ex(1);
+  hls::Runtime::Options o;
+  o.tier.dir = dir;
+  o.tier.page_bytes = 4096;
+  hls::Runtime rt(m, 1, o);
+  hls::ModuleBuilder mb(rt.registry(), "mod");
+  auto v = hls::add_array<int>(mb, "v", 4096, topo::node_scope());
+  mb.commit();
+  const hls::VarHandle h = v.handle();
+  rt.storage().set_tier(h.scope, hls::Tier::file_backed);
+  ult::ThreadTaskContext ctx = bound_ctx(rt, 0, 0);
+  ASSERT_NE(rt.get_addr(h, ctx), nullptr);  // cold: fills the cache
+  hls::VarHandle bad = h;
+  bad.offset = h.size - 4;
+  bad.size = 8;
+#if HLSMPC_OBS_ENABLED
+  auto touches = [&] {
+    return counter(rt, 0, obs::Counter::tier_cache_hits) +
+           counter(rt, 0, obs::Counter::tier_cache_misses);
+  };
+  const std::uint64_t cold = counter(rt, 0, obs::Counter::get_addr_cold);
+  const std::uint64_t warm = counter(rt, 0, obs::Counter::get_addr_warm);
+  const std::uint64_t touched = touches();
+  EXPECT_GT(touched, 0u);  // the cold resolve went through the cache
+#endif
+  EXPECT_THROW(rt.get_addr(bad, ctx), hls::HlsError);
+#if HLSMPC_OBS_ENABLED
+  EXPECT_EQ(counter(rt, 0, obs::Counter::get_addr_cold), cold);
+  EXPECT_EQ(counter(rt, 0, obs::Counter::get_addr_warm), warm);
+  EXPECT_EQ(touches(), touched);
+#endif
 }
 
 TEST(HlsMigration, AddrCacheInvalidatedOnMigration) {
