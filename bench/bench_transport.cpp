@@ -17,14 +17,30 @@
 // bandwidth-bound points cross-run (the 4 KB points are candidate-only —
 // sub-microsecond kernels jitter past any useful threshold on a shared
 // VM).
+//
+// BM_ClusterAllreduce is the leader tier end to end: a 2-node x 2-rank
+// SimCluster (thread executor) allreducing 2 KB and 256 KB of uint64
+// sums, both above the staged threshold, so both run one fabric lane per
+// local rank. Its bound is the within-run ratio real_time(256 KB) /
+// real_time(2 KB): folding and moving 128x the bytes must cost a bounded
+// multiple of the latency-bound call, which a lone leader carrying the
+// whole 256 KB breaks. Manual time: each iteration is one cluster.run
+// timing kCalls calls between barriers on rank 0, after kWarm untimed
+// ones, so the thread launch and the cold first calls stay out;
+// real_time is per batch of kCalls calls. Candidate-only,
+// like the 4 KB points: four rank threads on a shared VM are too noisy
+// for a cross-run threshold.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
+#include <span>
 #include <cstring>
 #include <thread>
 #include <vector>
 
 #include "memtrack/memtrack.hpp"
+#include "mpi/cluster.hpp"
 #include "mpi/shm_transport.hpp"
 #include "mpi/sim_fabric.hpp"
 
@@ -94,8 +110,52 @@ void BM_FabricSendRecv(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
 }
 
+void BM_ClusterAllreduce(benchmark::State& state) {
+  constexpr int kWarm = 8;
+  constexpr int kCalls = 64;
+  const std::size_t count =
+      static_cast<std::size_t>(state.range(0)) / sizeof(std::uint64_t);
+  mpi::ClusterOptions o;
+  o.nnodes = 2;
+  o.ranks_per_node = 2;
+  mpi::SimCluster cluster(o);
+  std::vector<std::vector<std::uint64_t>> in(4), out(4);
+  for (int g = 0; g < 4; ++g) {
+    in[static_cast<std::size_t>(g)].assign(count,
+                                           static_cast<std::uint64_t>(g));
+    out[static_cast<std::size_t>(g)].assign(count, 0);
+  }
+  for (auto _ : state) {
+    double secs = 0;
+    cluster.run([&](mpi::ClusterComm& comm, ult::TaskContext& ctx) {
+      const auto g = static_cast<std::size_t>(comm.rank(ctx));
+      const std::span<const std::uint64_t> src(in[g]);
+      const std::span<std::uint64_t> dst(out[g]);
+      for (int i = 0; i < kWarm; ++i) {
+        comm.allreduce(ctx, src, dst, mpi::Op::sum);
+      }
+      comm.barrier(ctx);
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int i = 0; i < kCalls; ++i) {
+        comm.allreduce(ctx, src, dst, mpi::Op::sum);
+      }
+      comm.barrier(ctx);
+      if (g == 0) {
+        secs = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+      }
+    });
+    if (out[0][count - 1] != 0 + 1 + 2 + 3) state.SkipWithError("wrong sum");
+    state.SetIterationTime(secs);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kCalls * state.range(0));
+}
+
 }  // namespace
 
 BENCHMARK(BM_RawMemcpy)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_ShmSendRecv)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_FabricSendRecv)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_ClusterAllreduce)->Arg(2048)->Arg(262144)->UseManualTime();

@@ -7,6 +7,7 @@
 
 #include "fault/injector.hpp"
 #include "mpi/coll_algo.hpp"
+#include "mpi/coll_shm.hpp"
 #include "obs/recorder.hpp"
 
 #include "mpi/recover.hpp"
@@ -154,6 +155,7 @@ ClusterComm::ClusterComm(SimCluster& cluster)
       nranks_(cluster.nranks()),
       coll_seq_(static_cast<std::size_t>(cluster.nranks()), 0),
       fold_scratch_(static_cast<std::size_t>(cluster.nnodes())),
+      reduce_partial_(static_cast<std::size_t>(cluster.nnodes())),
       shrink_round_timeout_(cluster.options().shrink_round_timeout) {
   node_world_.reserve(static_cast<std::size_t>(nnodes_));
   for (int n = 0; n < nnodes_; ++n) {
@@ -309,26 +311,32 @@ bool ClusterComm::coll_recv(ult::TaskContext& ctx, int g_me, int src_g,
   return true;
 }
 
+std::byte* ClusterComm::grown(std::vector<std::byte>& scratch,
+                              std::size_t bytes) {
+  if (scratch.size() < bytes) scratch.resize(bytes);
+  return scratch.data();
+}
+
 bool ClusterComm::leader_fold(ult::TaskContext& ctx, int pos, const View& v,
-                              void* acc, std::size_t count,
-                              std::size_t elem_bytes, const ReduceFn& fn,
-                              int tag) {
+                              int lane, void* acc, std::byte* partner,
+                              std::size_t count, std::size_t elem_bytes,
+                              const ReduceFn& fn, int tag) {
   // Binomial reduce tree in TRUE live-position order (the PR 5 contract
   // lifted to the leader tier): the lower position of each pair holds the
   // fold of a contiguous survivor range ending right before its partner's
   // range, so it applies the partner's partial as the RIGHT operand.
   // Ascending position is ascending node id, so the result — landing at
   // live[0]'s leader — is the exact ascending-global-rank fold over the
-  // surviving contributions.
+  // surviving contributions. Every lane runs the same tree over its own
+  // ranks, so lane l's fold is that order over lane l's elements.
   const int npos = static_cast<int>(v.live.size());
-  const int node = v.live[static_cast<std::size_t>(pos)];
-  const int g_me = leader_of(node);
+  const int g_me = leader_of(v.live[static_cast<std::size_t>(pos)]) + lane;
   const std::size_t bytes = count * elem_bytes;
   bool ok = true;
   for (int mask = 1; mask < npos; mask <<= 1) {
     if ((pos & mask) != 0) {
       const int dst = v.live[static_cast<std::size_t>(pos - mask)];
-      if (!coll_send(ctx, g_me, leader_of(dst), acc, bytes, tag)) {
+      if (!coll_send(ctx, g_me, leader_of(dst) + lane, acc, bytes, tag)) {
         ok = false;
       }
       break;
@@ -336,11 +344,8 @@ bool ClusterComm::leader_fold(ult::TaskContext& ctx, int pos, const View& v,
     const int src_pos = pos + mask;
     if (src_pos < npos) {
       const int src = v.live[static_cast<std::size_t>(src_pos)];
-      std::vector<std::byte>& partner =
-          fold_scratch_[static_cast<std::size_t>(node)];
-      if (partner.size() < bytes) partner.resize(bytes);
-      if (coll_recv(ctx, g_me, leader_of(src), partner.data(), bytes, tag)) {
-        fn(acc, partner.data(), count);
+      if (coll_recv(ctx, g_me, leader_of(src) + lane, partner, bytes, tag)) {
+        fn(acc, partner, count);
       } else {
         ok = false;
       }
@@ -350,12 +355,12 @@ bool ClusterComm::leader_fold(ult::TaskContext& ctx, int pos, const View& v,
 }
 
 bool ClusterComm::leader_bcast(ult::TaskContext& ctx, int pos, const View& v,
-                               void* buf, std::size_t bytes, int root_pos,
-                               int tag) {
+                               int lane, void* buf, std::size_t bytes,
+                               int root_pos, int tag) {
   // Binomial bcast over virtual positions rotated so root_pos is virtual
   // 0 (rotation is legal here: bcast has no fold order to preserve).
   const int npos = static_cast<int>(v.live.size());
-  const int g_me = leader_of(v.live[static_cast<std::size_t>(pos)]);
+  const int g_me = leader_of(v.live[static_cast<std::size_t>(pos)]) + lane;
   const int vme = (pos - root_pos + npos) % npos;
   bool ok = true;
   int mask = 1;
@@ -363,7 +368,9 @@ bool ClusterComm::leader_bcast(ult::TaskContext& ctx, int pos, const View& v,
     if ((vme & mask) != 0) {
       const int src =
           v.live[static_cast<std::size_t>((vme - mask + root_pos) % npos)];
-      if (!coll_recv(ctx, g_me, leader_of(src), buf, bytes, tag)) ok = false;
+      if (!coll_recv(ctx, g_me, leader_of(src) + lane, buf, bytes, tag)) {
+        ok = false;
+      }
       break;
     }
     mask <<= 1;
@@ -373,7 +380,9 @@ bool ClusterComm::leader_bcast(ult::TaskContext& ctx, int pos, const View& v,
     if (vme + mask < npos) {
       const int dst =
           v.live[static_cast<std::size_t>((vme + mask + root_pos) % npos)];
-      if (!coll_send(ctx, g_me, leader_of(dst), buf, bytes, tag)) ok = false;
+      if (!coll_send(ctx, g_me, leader_of(dst) + lane, buf, bytes, tag)) {
+        ok = false;
+      }
     }
     mask >>= 1;
   }
@@ -445,11 +454,11 @@ void ClusterComm::bcast(ult::TaskContext& ctx, void* buf, std::size_t bytes,
     // the leader's hands), then its leader feeds the leader tier.
     nc.bcast(lctx, buf, bytes, local_of(root));
     if (local_of(g) == 0) {
-      leader_bcast(ctx, pos, *view, buf, bytes, root_pos, tag);
+      leader_bcast(ctx, pos, *view, 0, buf, bytes, root_pos, tag);
     }
   } else {
     if (local_of(g) == 0) {
-      leader_bcast(ctx, pos, *view, buf, bytes, root_pos, tag);
+      leader_bcast(ctx, pos, *view, 0, buf, bytes, root_pos, tag);
     }
     nc.bcast(lctx, buf, bytes, 0);
   }
@@ -484,23 +493,30 @@ void ClusterComm::reduce(ult::TaskContext& ctx, const void* sendbuf,
   node_gate(lctx, nc, node, "cluster reduce");
 
   // Local tier: fold the node's contributions (ascending local = ascending
-  // global within the node) into the leader's partial.
-  std::vector<std::byte> partial;
-  if (local_of(g) == 0) partial.resize(bytes);
-  nc.reduce(lctx, sendbuf, local_of(g) == 0 ? partial.data() : nullptr,
-            count, elem_bytes, fn, 0);
+  // global within the node) into the leader's partial, a per-node buffer
+  // only the leader touches.
+  std::byte* const partial =
+      local_of(g) == 0
+          ? grown(reduce_partial_[static_cast<std::size_t>(node)], bytes)
+          : nullptr;
+  nc.reduce(lctx, sendbuf, partial, count, elem_bytes, fn, 0);
 
   const int root_leader = leader_of(view->live[0]);
   if (local_of(g) == 0) {
     // Leader tier: fold live-node partials to live[0] in true position
     // order.
-    leader_fold(ctx, pos, *view, partial.data(), count, elem_bytes, fn, tag);
+    std::byte* const partner =
+        fold_receives(pos, static_cast<int>(view->live.size()))
+            ? grown(fold_scratch_[static_cast<std::size_t>(node)], bytes)
+            : nullptr;
+    leader_fold(ctx, pos, *view, 0, partial, partner, count, elem_bytes, fn,
+                tag);
     if (pos == 0) {
       // Deliver the folded total to the global root.
       if (g == root) {
-        if (bytes > 0) std::memcpy(recvbuf, partial.data(), bytes);
+        if (bytes > 0) std::memcpy(recvbuf, partial, bytes);
       } else {
-        coll_send(ctx, g, root, partial.data(), bytes, tag);
+        coll_send(ctx, g, root, partial, bytes, tag);
       }
     }
   }
@@ -524,21 +540,61 @@ void ClusterComm::allreduce(ult::TaskContext& ctx, const void* sendbuf,
                                   std::to_string(node) +
                                   " was excluded by shrink");
   }
-  LocalCtx lctx(ctx, local_of(g));
+  const int npos = static_cast<int>(view->live.size());
+  const int lane = local_of(g);
+  const std::size_t bytes = count * elem_bytes;
+  LocalCtx lctx(ctx, lane);
   Comm& nc = node_comm(node);
+  std::vector<std::byte>& partners =
+      fold_scratch_[static_cast<std::size_t>(node)];
+  // Lanes above the engine's staged (small) payloads: every rank carries
+  // its own slice across the fabric. The choice depends only on the call
+  // shape and the per-node config, which all nodes share, so every rank
+  // of the job takes the same path.
+  ShmCollEngine* lanes = nc.shm_engine();
+  if (lanes != nullptr && lanes->select(bytes) == obs::CollAlg::shm_flat) {
+    lanes = nullptr;
+  }
+  if (lanes != nullptr && lane == 0 && fold_receives(pos, npos)) {
+    // The lanes receive their partners into disjoint slices of one node
+    // buffer; the entry gate publishes its growth to them.
+    grown(partners, bytes);
+  }
   node_gate(lctx, nc, node, "cluster allreduce");
 
-  // Local reduce into the leader's recvbuf, leader fold to live[0],
-  // leader bcast of the total, local bcast — reduce+bcast with the
-  // leader's recvbuf as the accumulator throughout, so no extra staging
-  // buffer.
-  nc.reduce(lctx, sendbuf, local_of(g) == 0 ? recvbuf : nullptr, count,
-            elem_bytes, fn, 0);
-  if (local_of(g) == 0) {
-    leader_fold(ctx, pos, *view, recvbuf, count, elem_bytes, fn, tag);
-    leader_bcast(ctx, pos, *view, recvbuf, count * elem_bytes, 0, tag);
+  if (lanes != nullptr) {
+    // Slice r is folded locally by local rank r, then folded and
+    // broadcast across nodes along lane r, then gathered by every rank of
+    // the node. A lane whose fabric op fails still lets its slice be
+    // published, so the node finishes the local phase and the exit gate
+    // throws.
+    auto over_fabric = [&](std::byte* slice, std::size_t lo, std::size_t hi) {
+      if (lo == hi) return;
+      std::byte* const partner = fold_receives(pos, npos)
+                                     ? partners.data() + lo * elem_bytes
+                                     : nullptr;
+      leader_fold(ctx, pos, *view, lane, slice, partner, hi - lo, elem_bytes,
+                  fn, tag);
+      leader_bcast(ctx, pos, *view, lane, slice, (hi - lo) * elem_bytes, 0,
+                   tag);
+    };
+    lanes->allreduce_sliced(lctx, lane, sendbuf, recvbuf, count, elem_bytes,
+                            fn, ShmCollEngine::SliceHook(over_fabric));
+  } else {
+    // Local reduce into the leader's recvbuf, leader fold to live[0],
+    // leader bcast of the total, local bcast — reduce+bcast with the
+    // leader's recvbuf as the accumulator throughout, so no extra staging
+    // buffer.
+    nc.reduce(lctx, sendbuf, lane == 0 ? recvbuf : nullptr, count,
+              elem_bytes, fn, 0);
+    if (lane == 0) {
+      leader_fold(ctx, pos, *view, 0, recvbuf,
+                  fold_receives(pos, npos) ? grown(partners, bytes) : nullptr,
+                  count, elem_bytes, fn, tag);
+      leader_bcast(ctx, pos, *view, 0, recvbuf, bytes, 0, tag);
+    }
+    nc.bcast(lctx, recvbuf, bytes, 0);
   }
-  nc.bcast(lctx, recvbuf, count * elem_bytes, 0);
   node_gate(lctx, nc, node, "cluster allreduce");
 }
 

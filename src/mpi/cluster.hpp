@@ -27,6 +27,15 @@
 // the live view IS ascending node id, so the fold over survivors is the
 // exact ascending-global-rank fold over surviving contributions.
 //
+// Lanes (allreduce above the engine's staged threshold): local rank r of
+// every node owns slice r of the buffer end to end. It folds slice r of
+// its node's contributions in ascending local rank order, runs the same
+// binomial fold and bcast on slice r with local rank r of every live node
+// (lane r; lane 0 is the leader tier), and publishes the total slice,
+// which every rank of the node gathers. Each element is thus folded in
+// ascending local rank, then in ascending node position, lower side on
+// the left — the same factorisation as above, one slice at a time.
+//
 // Dead-node supervision and recovery (PR 9): the communicator carries a
 // LIVE VIEW — the ascending list of member nodes plus an epoch — and
 // every collective runs over the view it snapshots at entry. A leader
@@ -237,16 +246,26 @@ class ClusterComm {
   bool coll_recv(ult::TaskContext& ctx, int g_me, int src_g, void* buf,
                  std::size_t capacity, int tag);
   /// Leader-tier binomial fold over the view's live positions (ascending
-  /// position = ascending node), result at live[0]'s leader; `acc` is the
-  /// caller's node partial, overwritten with the folded prefix at
-  /// receiving nodes. Returns false on containment.
-  bool leader_fold(ult::TaskContext& ctx, int pos, const View& v, void* acc,
-                   std::size_t count, std::size_t elem_bytes,
-                   const ReduceFn& fn, int tag);
-  /// Leader-tier binomial bcast rooted at live position `root_pos`
-  /// (virtual-position rotation).
-  bool leader_bcast(ult::TaskContext& ctx, int pos, const View& v, void* buf,
-                    std::size_t bytes, int root_pos, int tag);
+  /// position = ascending node), result at live[0]'s rank of `lane`. The
+  /// tier of lane l is local rank l of every live node (lane 0 = the node
+  /// leaders). `acc` is the caller's partial, overwritten with the folded
+  /// prefix at receiving positions (fold_receives), which take each
+  /// partner's partial into `partner` (count elements). Returns false on
+  /// containment.
+  bool leader_fold(ult::TaskContext& ctx, int pos, const View& v, int lane,
+                   void* acc, std::byte* partner, std::size_t count,
+                   std::size_t elem_bytes, const ReduceFn& fn, int tag);
+  /// Whether live position `pos` of `npos` receives a partner partial in
+  /// leader_fold (an even position with a right neighbour).
+  static bool fold_receives(int pos, int npos) {
+    return (pos & 1) == 0 && pos + 1 < npos;
+  }
+  /// Leader-tier binomial bcast over lane `lane`, rooted at live position
+  /// `root_pos` (virtual-position rotation).
+  bool leader_bcast(ult::TaskContext& ctx, int pos, const View& v, int lane,
+                    void* buf, std::size_t bytes, int root_pos, int tag);
+  /// `scratch` grown to at least `bytes` (never shrunk).
+  static std::byte* grown(std::vector<std::byte>& scratch, std::size_t bytes);
   /// Fresh tag for the caller's next collective, namespaced by the view
   /// epoch (all ranks enter collectives in the same order and epochs
   /// change only at collectives' edges, so per-rank counters agree and
@@ -264,10 +283,13 @@ class ClusterComm {
   int rpn_ = 0;
   int nranks_ = 0;
   std::vector<std::uint32_t> coll_seq_;  // per global rank
-  /// Receive buffer of each node leader's leader_fold, grown on demand and
-  /// kept across calls. Indexed by node, not thread_local: the fiber
-  /// executor runs several leaders on one kernel thread.
+  /// Per-node buffers grown on demand and kept across calls. Indexed by
+  /// node, not thread_local: the fiber executor runs several leaders on
+  /// one kernel thread. fold_scratch_ receives leader_fold partners (on
+  /// the lane path, lane l's at its slice offset; grown by local rank 0
+  /// before the entry gate); reduce_partial_ holds reduce's node partial.
   std::vector<std::vector<std::byte>> fold_scratch_;
+  std::vector<std::vector<std::byte>> reduce_partial_;
   std::mutex view_mu_;  // serializes view changes (shrink, readmit)
   std::vector<std::unique_ptr<const View>> views_;  // all ever published
   std::atomic<const View*> view_{nullptr};

@@ -438,18 +438,22 @@ const std::byte* ShmCollEngine::reduce_slices(ult::TaskContext& ctx, int me,
                                               std::size_t count,
                                               std::size_t elem_bytes,
                                               const ReduceFn& fn,
-                                              std::uint64_t pub) {
+                                              std::uint64_t pub,
+                                              std::byte* acc,
+                                              const SliceHook* hook) {
   const FragGeom geom = begin_pipelined(count, elem_bytes);
   Slot& my = slots_[static_cast<std::size_t>(me)];
   // The whole send buffer is ready at entry: one publication covers it.
   my.ptr.store(sendbuf, std::memory_order_relaxed);
   publish_frag(ctx, my.frag, pub);
   const auto [lo, hi] = slice_of(me, count);
-  auto& scratch = priv_[static_cast<std::size_t>(me)].scratch;
-  if (scratch.size() < (hi - lo) * elem_bytes) {
-    scratch.resize((hi - lo) * elem_bytes);
+  if (acc == nullptr) {
+    auto& scratch = priv_[static_cast<std::size_t>(me)].scratch;
+    if (scratch.size() < (hi - lo) * elem_bytes) {
+      scratch.resize((hi - lo) * elem_bytes);
+    }
+    acc = scratch.data();
   }
-  std::byte* acc = scratch.data();
   for (int r = 0; r < n_; ++r) {
     wait_seq(slots_[static_cast<std::size_t>(r)].frag, pub, ctx);
   }
@@ -466,6 +470,7 @@ const std::byte* ShmCollEngine::reduce_slices(ult::TaskContext& ctx, int me,
       fn(a, static_cast<const std::byte*>(peer_contrib(r)) + off, ne);
     }
   }
+  if (hook != nullptr) (*hook)(acc, lo, hi);
   // This rank has now read its slice of every contribution: publishing
   // the folded slice also tells each peer it may overwrite that slice of
   // its own (possibly aliased) recvbuf.
@@ -625,6 +630,32 @@ void ShmCollEngine::allreduce(ult::TaskContext& ctx, int me,
     copy_bytes(recvbuf, peer_result(0), bytes);
   }
   plan_barrier(plan, ctx, me);
+}
+
+void ShmCollEngine::allreduce_sliced(ult::TaskContext& ctx, int me,
+                                     const void* sendbuf, void* recvbuf,
+                                     std::size_t count,
+                                     std::size_t elem_bytes,
+                                     const ReduceFn& fn,
+                                     const SliceHook& hook) {
+  begin(me);
+  if (count == 0) return;
+  const std::uint64_t pub = ++priv_[static_cast<std::size_t>(me)].frag_base;
+  // Without aliasing, this rank's slice of recvbuf is its own until the
+  // completion barrier: peers write only their own recvbufs and read it
+  // only after the publication, so it can be the accumulator (and
+  // gather_slices then elides the own-slice copy).
+  const std::size_t bytes = count * elem_bytes;
+  const auto out = reinterpret_cast<std::uintptr_t>(recvbuf);
+  const auto in = reinterpret_cast<std::uintptr_t>(sendbuf);
+  std::byte* acc = nullptr;
+  if (out + bytes <= in || in + bytes <= out) {
+    acc = static_cast<std::byte*>(recvbuf) +
+          slice_of(me, count).first * elem_bytes;
+  }
+  reduce_slices(ctx, me, sendbuf, count, elem_bytes, fn, pub, acc, &hook);
+  gather_slices(ctx, me, count, elem_bytes, pub, recvbuf);
+  plan_barrier(hier_, ctx, me);
 }
 
 void ShmCollEngine::allgather(ult::TaskContext& ctx, int me,

@@ -56,7 +56,9 @@
 // rank overwrites slice r of its recvbuf only after acquiring rank r's
 // slice, and rank r publishes only after reading slice r of every
 // contribution (reduce_scatter_block writes its block after the
-// completion barrier instead).
+// completion barrier instead). allreduce_sliced is the same reduction at
+// any size with a caller hook on each folded slice before it is
+// published; ClusterComm runs its inter-node lanes there.
 //
 // The other pipelined ops (bcast, allgather, scan, exscan) use XHC-style
 // data-wise pipelining: the buffer is split into cache-friendly
@@ -180,6 +182,40 @@ class ShmCollEngine {
                             const void* sendbuf, void* recvbuf,
                             std::size_t count, std::size_t elem_bytes,
                             const ReduceFn& fn);
+
+  /// Non-owning reference to a callable `void(std::byte* slice,
+  /// std::size_t lo, std::size_t hi)`: a function pointer plus the
+  /// callable's address, so passing one never allocates. The callable
+  /// must outlive the call it is passed to.
+  class SliceHook {
+   public:
+    template <typename F>
+    explicit SliceHook(F& f)
+        : call_([](void* f, std::byte* s, std::size_t lo, std::size_t hi) {
+            (*static_cast<F*>(f))(s, lo, hi);
+          }),
+          f_(&f) {}
+    void operator()(std::byte* s, std::size_t lo, std::size_t hi) const {
+      call_(f_, s, lo, hi);
+    }
+
+   private:
+    void (*call_)(void*, std::byte*, std::size_t, std::size_t);
+    void* f_;
+  };
+  /// Slice-parallel allreduce at any size, with `hook` run on this rank's
+  /// folded slice [lo, hi) (elements) after the local fold and before the
+  /// slice is published to the other ranks — so the hook may extend the
+  /// fold beyond the node (ClusterComm's lanes: one inter-node fold and
+  /// bcast per slice, run by the slice's owner). The hook must leave the
+  /// slice holding the value every rank should receive. The slice is
+  /// folded straight into this rank's own slice of `recvbuf` unless
+  /// recvbuf overlaps sendbuf (then into the rank's scratch), and nothing
+  /// is allocated once that scratch has grown.
+  void allreduce_sliced(ult::TaskContext& ctx, int me, const void* sendbuf,
+                        void* recvbuf, std::size_t count,
+                        std::size_t elem_bytes, const ReduceFn& fn,
+                        const SliceHook& hook);
 
  private:
   /// Per-rank slot of the shared control block. Channels live on separate
@@ -332,15 +368,17 @@ class ShmCollEngine {
   /// pipelined path: [count·r/n, count·(r+1)/n).
   std::pair<std::size_t, std::size_t> slice_of(int r, std::size_t count) const;
   /// Slice-parallel reduction: publish `sendbuf` on the contribution
-  /// channel, fold this rank's slice of every contribution into its
-  /// scratch in ascending rank order, and publish the folded slice on the
-  /// result channel. Both publications carry `pub` (the caller's advanced
+  /// channel, fold this rank's slice of every contribution in ascending
+  /// rank order into `acc` (its scratch when null), run `hook` on the
+  /// folded slice when given, and publish the slice on the result
+  /// channel. Both publications carry `pub` (the caller's advanced
   /// frag_base). Returns the folded slice; it stays put until the caller's
   /// completion barrier.
   const std::byte* reduce_slices(ult::TaskContext& ctx, int me,
                                  const void* sendbuf, std::size_t count,
                                  std::size_t elem_bytes, const ReduceFn& fn,
-                                 std::uint64_t pub);
+                                 std::uint64_t pub, std::byte* acc = nullptr,
+                                 const SliceHook* hook = nullptr);
   /// Copy all n folded slices of publication `pub` into `recvbuf`, each
   /// only after acquiring its owner's publication — which is what makes an
   /// aliased recvbuf safe: the owner published after reading its slice of

@@ -9,7 +9,10 @@
 //  - bcast from every root, allgather in global rank order, barrier;
 //  - ScheduleExplorer drives a whole 2-node job through many
 //    deterministic schedules (the fabric's sync points make leader
-//    exchanges explorable);
+//    exchanges explorable), on the single-leader and the lane path;
+//  - the lane path of allreduce (every local rank carries one slice
+//    across the fabric) keeps the fold order on uneven slices and in
+//    place, and is really taken above the threshold and only there;
 //  - dead-node supervision: a killed node is detected and NAMED by every
 //    surviving rank instead of deadlocking them, both for an explicit
 //    kill_node and for an injected link failure.
@@ -17,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -160,6 +164,42 @@ TEST_P(ClusterParam, AllreduceFoldsInGlobalRankOrder) {
     });
     EXPECT_EQ(checked.load(), nranks_) << "count=" << count;
   }
+}
+
+// Above the staged threshold allreduce runs one lane per local rank. 1031
+// elements split unevenly over every rpn of the sweep, so lanes carry
+// slices of different lengths (and rpn 1 keeps the single leader).
+constexpr std::size_t kLaneCount = 1031;
+
+TEST_P(ClusterParam, LaneAllreduceFoldsUnevenSlicesInGlobalRankOrder) {
+  const std::vector<Mat> want = reference(nranks_ - 1, kLaneCount);
+  std::atomic<int> checked{0};
+  cluster_.run([&](mpi::ClusterComm& comm, TaskContext& ctx) {
+    const int g = comm.rank(ctx);
+    const std::vector<Mat> in = make_contrib(g, kLaneCount);
+    std::vector<Mat> out(kLaneCount);
+    // Twice: the second call runs on the buffers the first one grew.
+    for (int rep = 0; rep < 2; ++rep) {
+      comm.allreduce(ctx, in.data(), out.data(), kLaneCount, sizeof(Mat),
+                     mat_fn());
+      if (out == want) checked.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(checked.load(), 2 * nranks_);
+}
+
+TEST_P(ClusterParam, LaneAllreduceInPlaceIsBitExact) {
+  const std::vector<Mat> want = reference(nranks_ - 1, kLaneCount);
+  std::atomic<int> checked{0};
+  cluster_.run([&](mpi::ClusterComm& comm, TaskContext& ctx) {
+    std::vector<Mat> buf = make_contrib(comm.rank(ctx), kLaneCount);
+    comm.allreduce(ctx, buf.data(), buf.data(), kLaneCount, sizeof(Mat),
+                   mat_fn());
+    if (std::memcmp(buf.data(), want.data(), kLaneCount * sizeof(Mat)) == 0) {
+      checked.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(checked.load(), nranks_);
 }
 
 TEST_P(ClusterParam, ReduceToEveryRootFoldsInGlobalRankOrder) {
@@ -311,6 +351,43 @@ TEST(Cluster, OversubscribedRunNeverSpinsOnRequests) {
 #endif
 }
 
+TEST(Cluster, LanePathIsTakenAboveTheThresholdOnly) {
+  // Local rank 1 touches the fabric exactly when allreduce runs lanes:
+  // above the engine's staged threshold, never at or below it. A silent
+  // fallback to the single leader fails the first check.
+  const std::size_t threshold = mpi::CollConfig{}.small_threshold;
+  for (const std::size_t bytes : {threshold + 8, threshold}) {
+    obs::RecorderOptions ro;
+    ro.ntasks = 4;
+    obs::Recorder rec(ro);
+    mpi::ClusterOptions o = copts({2, 2, mpi::ExecutorKind::thread});
+    o.obs = &rec;
+    mpi::SimCluster cluster(o);
+    std::atomic<int> wrong{0};
+    cluster.run([&](mpi::ClusterComm& comm, TaskContext& ctx) {
+      const std::vector<std::int64_t> in(bytes / 8, comm.rank(ctx) + 1);
+      std::vector<std::int64_t> out(in.size());
+      comm.allreduce(ctx, std::span<const std::int64_t>(in),
+                     std::span<std::int64_t>(out), mpi::Op::sum);
+      for (const std::int64_t v : out) wrong.fetch_add(v != 1 + 2 + 3 + 4);
+    });
+    EXPECT_EQ(wrong.load(), 0) << "bytes=" << bytes;
+#if HLSMPC_OBS_ENABLED
+    const obs::Snapshot s = rec.snapshot();
+    for (const int g : {1, 3}) {
+      const std::uint64_t sends =
+          s.tasks[static_cast<std::size_t>(g)]
+              .c[static_cast<int>(obs::Counter::net_sends)];
+      if (bytes > threshold) {
+        EXPECT_GT(sends, 0u) << "rank " << g << " carries no lane";
+      } else {
+        EXPECT_EQ(sends, 0u) << "rank " << g << " left the local tier";
+      }
+    }
+#endif
+  }
+}
+
 // ---- deterministic exploration of the leader exchange ----
 
 TEST(ClusterExplore, AllreduceSurvivesScheduleSweep) {
@@ -332,6 +409,34 @@ TEST(ClusterExplore, AllreduceSurvivesScheduleSweep) {
           if (out != want) {
             throw std::runtime_error("rank " + std::to_string(g) +
                                      ": wrong fold under explored schedule");
+          }
+        });
+      });
+  EXPECT_TRUE(res.ok) << res.repro;
+  EXPECT_GE(res.schedules_run, eo.schedules);
+}
+
+TEST(ClusterExplore, LaneAllreduceSurvivesScheduleSweep) {
+  // 67 elements: above the lane threshold, slices of 33 and 34.
+  const std::size_t count = 67;
+  ASSERT_GT(count * sizeof(Mat), mpi::CollConfig{}.small_threshold);
+  check::ExploreOptions eo;
+  eo.schedules = 60;
+  eo.max_steps = 200000;
+  check::ScheduleExplorer explorer(eo);
+  const check::ExploreResult res =
+      explorer.explore([&](hlsmpc::ult::Executor& ex) {
+        mpi::SimCluster cluster(copts({2, 2, mpi::ExecutorKind::thread}));
+        const std::vector<Mat> want = reference(3, count);
+        cluster.run_on(ex, [&](mpi::ClusterComm& comm, TaskContext& ctx) {
+          const int g = comm.rank(ctx);
+          std::vector<Mat> buf = make_contrib(g, count);
+          comm.allreduce(ctx, buf.data(), buf.data(), count, sizeof(Mat),
+                         mat_fn());
+          if (buf != want) {
+            throw std::runtime_error("rank " + std::to_string(g) +
+                                     ": wrong lane fold under explored "
+                                     "schedule");
           }
         });
       });

@@ -9,6 +9,10 @@
 //  - kill -> respawn -> continue: SimCluster::respawn re-creates the dead
 //    node, readmits it, and the full world works again (including the
 //    injected launch-failure path of the "cluster:respawn" site);
+//  - the same cycle on allreduce's lane path (one fabric lane per local
+//    rank): a node killed while every lane waits on it is named, the
+//    survivors' lanes fold exactly, and the readmitted node's lanes
+//    carry traffic again;
 //  - the shrink agreement survives a ScheduleExplorer sweep (its
 //    "shrink:round" sync point makes every round's interleaving
 //    explorable);
@@ -19,11 +23,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/deterministic_executor.hpp"
@@ -282,6 +288,89 @@ TEST_P(RecoverParam, KillRespawnReadmitRestoresFullWorld) {
     if (out == want_full) full_ok.fetch_add(1);
   });
   EXPECT_EQ(full_ok.load(), nranks_);
+}
+
+// ---- the same cycle on the lane path ----
+
+TEST_P(RecoverParam, LanePathKillShrinkRespawnReadmit) {
+  // 1031 elements: far above the lane threshold, uneven slices.
+  const std::size_t count = 1031;
+  const int victim = cluster_.nnodes() - 1;
+  const int rpn = cluster_.ranks_per_node();
+  const std::vector<int> survivors =
+      surviving_granks(cluster_.nnodes(), rpn, victim);
+  const std::vector<Mat> want_shrunk = reference_over(survivors, count);
+  obs::RecorderOptions ro;
+  ro.ntasks = nranks_;
+  obs::Recorder rec(ro);
+  mpi::ClusterOptions o = copts(GetParam());
+  o.obs = &rec;
+  mpi::SimCluster cluster(o);
+
+  // Run 1: the victim's ranks never enter; its local rank 0 kills the
+  // node after a delay, typically while every survivor lane waits on the
+  // fabric for the victim's slice.
+  std::atomic<int> named{0}, shrunk_ok{0};
+  cluster.run([&](mpi::ClusterComm& comm, TaskContext& ctx) {
+    const int g = comm.rank(ctx);
+    if (comm.node_of(g) == victim) {
+      if (comm.local_of(g) == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        comm.fabric().kill_node(victim);
+      }
+      return;
+    }
+    const std::vector<Mat> in = make_contrib(g, count);
+    std::vector<Mat> out(count);
+    try {
+      comm.allreduce(ctx, in.data(), out.data(), count, sizeof(Mat),
+                     mat_fn());
+      ADD_FAILURE() << "rank " << g << " completed against a dead node";
+    } catch (const mpi::NodeDeadError& e) {
+      if (e.node() == victim &&
+          std::string(e.what()).find("node " + std::to_string(victim)) !=
+              std::string::npos) {
+        named.fetch_add(1);
+      }
+    }
+    comm.shrink(ctx);
+    comm.allreduce(ctx, in.data(), out.data(), count, sizeof(Mat), mat_fn());
+    if (std::memcmp(out.data(), want_shrunk.data(), count * sizeof(Mat)) ==
+        0) {
+      shrunk_ok.fetch_add(1);
+    }
+  });
+  const int nsurvivors = static_cast<int>(survivors.size());
+  EXPECT_EQ(named.load(), nsurvivors);
+  EXPECT_EQ(shrunk_ok.load(), nsurvivors);
+
+  // Run 2: respawn + readmit; the full world folds exactly, and the
+  // readmitted node's non-leader ranks carry lanes again.
+  cluster.respawn(victim);
+  const std::uint64_t sends_before =
+      rec.snapshot().tasks[static_cast<std::size_t>(victim * rpn + rpn - 1)]
+          .c[static_cast<int>(obs::Counter::net_sends)];
+  const std::vector<Mat> want_full = reference(nranks_ - 1, count);
+  std::atomic<int> full_ok{0};
+  cluster.run([&](mpi::ClusterComm& comm, TaskContext& ctx) {
+    const int g = comm.rank(ctx);
+    const std::vector<Mat> in = make_contrib(g, count);
+    std::vector<Mat> out(count);
+    comm.allreduce(ctx, in.data(), out.data(), count, sizeof(Mat), mat_fn());
+    if (std::memcmp(out.data(), want_full.data(), count * sizeof(Mat)) == 0) {
+      full_ok.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(full_ok.load(), nranks_);
+#if HLSMPC_OBS_ENABLED
+  const std::uint64_t sends_after =
+      rec.snapshot().tasks[static_cast<std::size_t>(victim * rpn + rpn - 1)]
+          .c[static_cast<int>(obs::Counter::net_sends)];
+  EXPECT_GT(sends_after, sends_before)
+      << "the readmitted node's last lane carried nothing";
+#else
+  (void)sends_before;
+#endif
 }
 
 TEST(Recover, RespawnLaunchFailureIsCleanAndRetryable) {
