@@ -23,18 +23,7 @@ bool is_migrate(SyncEvent::Kind k) {
 }
 
 bool is_rma(SyncEvent::Kind k) {
-  switch (k) {
-    case SyncEvent::Kind::rma_put:
-    case SyncEvent::Kind::rma_get:
-    case SyncEvent::Kind::rma_acc:
-    case SyncEvent::Kind::rma_fence_enter:
-    case SyncEvent::Kind::rma_fence_exit:
-    case SyncEvent::Kind::rma_lock:
-    case SyncEvent::Kind::rma_unlock:
-      return true;
-    default:
-      return false;
-  }
+  return k >= SyncEvent::Kind::rma_put;  // the RMA kinds close the enum
 }
 
 bool is_rma_access(SyncEvent::Kind k) {
@@ -409,71 +398,35 @@ bool HlsChecker::verify() {
   std::vector<long> episode_of;
   assign_episodes(episodes, episode_of);
 
-  // ---- RMA reconstruction, pass 1: plan the hb messages -------------
-  // Message tags continue after the episode uids so the two families
-  // never collide (episodes use uid*2 / uid*2+1 with uid < size()).
+  // ---- RMA reconstruction, pass 1: plan the waves --------------------
+  // Wave tags continue after the episode uids so the two families never
+  // collide (episodes use uid*2 / uid*2+1 with uid < size()).
   long next_uid = static_cast<long>(episodes.size());
-  struct Msg {
-    int peer;
-    long tag;
-  };
-  std::map<std::size_t, std::vector<Msg>> rma_sends;  // log index -> sends
-  std::map<std::size_t, std::vector<Msg>> rma_recvs;  // log index -> recvs
 
-  // Fence groups, keyed (window, epoch). A group only contributes edges
-  // when every rank that ever fences on the window entered AND exited
-  // this epoch — a real fence cannot complete with a participant missing,
-  // so anything less is a truncated log (crash, throw) and modeling it
-  // would leave unmatched receives.
+  // Fence groups, keyed (window, epoch): an all-to-all wave through the
+  // lowest fencing task, only when every rank that ever fences on the
+  // window entered AND exited this epoch — a real fence cannot complete
+  // with a participant missing, so anything less is a truncated log
+  // (crash, throw) whose model would leave unmatched receives.
+  std::map<std::pair<int, std::uint64_t>, hb::SyncWave> fences;
   {
     std::map<int, std::set<int>> fencers;  // window -> every fencing task
-    struct Group {
-      std::set<int> enters, exits;
-      long uid = -1;
-    };
-    std::map<std::pair<int, std::uint64_t>, Group> groups;
+    std::map<std::pair<int, std::uint64_t>,
+             std::pair<std::set<int>, std::set<int>>>
+        groups;  // (window, epoch) -> (entered, exited)
     for (const SyncEvent& e : log_) {
       if (e.kind == SyncEvent::Kind::rma_fence_enter) {
         fencers[e.instance].insert(e.task);
-        groups[{e.instance, e.task_count}].enters.insert(e.task);
+        groups[{e.instance, e.task_count}].first.insert(e.task);
       } else if (e.kind == SyncEvent::Kind::rma_fence_exit) {
-        groups[{e.instance, e.task_count}].exits.insert(e.task);
+        groups[{e.instance, e.task_count}].second.insert(e.task);
       }
     }
-    for (auto& [key, g] : groups) {
+    for (const auto& [key, g] : groups) {
       const std::set<int>& all = fencers[key.first];
-      if (all.size() < 2) continue;  // no cross-task edge to model
-      if (g.enters == all && g.exits == all) g.uid = next_uid++;
-    }
-    for (std::size_t k = 0; k < log_.size(); ++k) {
-      const SyncEvent& e = log_[k];
-      if (e.kind != SyncEvent::Kind::rma_fence_enter &&
-          e.kind != SyncEvent::Kind::rma_fence_exit) {
-        continue;
-      }
-      auto git = groups.find({e.instance, e.task_count});
-      if (git == groups.end() || git->second.uid < 0) continue;
-      const Group& g = git->second;
-      const int rep = *g.enters.begin();
-      const long in_tag = g.uid * 2;
-      const long out_tag = g.uid * 2 + 1;
-      if (e.kind == SyncEvent::Kind::rma_fence_enter) {
-        // Every participant's pre-fence work flows to the representative…
-        if (e.task != rep) rma_sends[k].push_back({rep, in_tag});
-      } else if (e.task == rep) {
-        // …who forwards the merged front to everyone at its exit (Win
-        // logs an enter before publishing the epoch and an exit only
-        // after acquiring every publication, so enters precede exits in
-        // the log and every send lands before its receive).
-        for (int p : g.enters) {
-          if (p != rep) rma_recvs[k].push_back({p, in_tag});
-        }
-        for (int p : g.enters) {
-          if (p != rep) rma_sends[k].push_back({p, out_tag});
-        }
-      } else {
-        rma_recvs[k].push_back({rep, out_tag});
-      }
+      if (all.size() < 2 || g.first != all || g.second != all) continue;
+      fences[key] = {hb::SyncWave::Shape::all_to_all,
+                     {all.begin(), all.end()}, *all.begin(), next_uid++ * 2};
     }
   }
 
@@ -483,7 +436,9 @@ bool HlsChecker::verify() {
   // release sequence); a shared acquisition synchronizes with the
   // previous exclusive release alone. Win's emission discipline (lock
   // after the CAS, unlock before the store) guarantees each edge's
-  // unlock precedes its lock in the log.
+  // unlock precedes its lock in the log. Each edge is a two-member
+  // fan-out from the unlocking task, keyed by both log indices.
+  std::map<std::size_t, std::vector<hb::SyncWave>> lock_edges;
   {
     struct WordChain {
       long last_excl_unlock = -1;          // log index, -1 none
@@ -494,9 +449,10 @@ bool HlsChecker::verify() {
       const int src = log_[static_cast<std::size_t>(from)].task;
       const int dst = log_[to].task;
       if (src == dst) return;  // program order already covers it
-      const long tag = (next_uid++) * 2;
-      rma_sends[static_cast<std::size_t>(from)].push_back({dst, tag});
-      rma_recvs[to].push_back({src, tag});
+      const hb::SyncWave w{hb::SyncWave::Shape::fan_out, {src, dst}, src,
+                           next_uid++ * 2};
+      lock_edges[static_cast<std::size_t>(from)].push_back(w);
+      lock_edges[to].push_back(w);
     };
     for (std::size_t k = 0; k < log_.size(); ++k) {
       const SyncEvent& e = log_[k];
@@ -518,26 +474,23 @@ bool HlsChecker::verify() {
     }
   }
 
-  // Rebuild the log as an hb::Trace: per episode, every participant sends
-  // to the representative (the single executor, or the lowest-id
-  // participant for a barrier) on arrival; the representative receives
-  // them all at its release point, does the episode's write if it is a
-  // single block, and sends each participant its release, received at the
-  // participant's exit. Tags are unique per episode and direction, so
-  // matching is unambiguous. Only complete episodes are emitted — a
-  // partial one would leave unmatched receives the Analyzer rejects.
+  // Rebuild the log as an hb::Trace: each complete episode is an
+  // all-to-all SyncWave through its representative (the single executor,
+  // or the lowest-id participant for a barrier), which arrives at its
+  // release point, then does a single block's write. Only complete
+  // episodes are emitted — a partial one would leave unmatched receives
+  // the Analyzer rejects.
   hb::Trace trace(ntasks_);
-  auto rep_of = [](const Episode& ep) {
-    return ep.is_single
-               ? ep.executor
-               : *std::min_element(ep.participants.begin(),
-                                   ep.participants.end());
-  };
-  auto var_of = [](const Episode& ep) {
-    return "single:" + hls::to_string(ep.key.first) + ":" +
-           std::to_string(ep.key.second);
-  };
-
+  std::vector<hb::SyncWave> waves(episodes.size());
+  for (const Episode& ep : episodes) {
+    if (!episode_complete(ep)) continue;
+    waves[static_cast<std::size_t>(ep.uid)] = {
+        hb::SyncWave::Shape::all_to_all, ep.participants,
+        ep.is_single ? ep.executor
+                     : *std::min_element(ep.participants.begin(),
+                                         ep.participants.end()),
+        ep.uid * 2};
+  }
   struct SingleWrite {
     int event_id;
     long episode;
@@ -557,12 +510,23 @@ bool HlsChecker::verify() {
     if (is_rma(log_[k].kind)) {
       const SyncEvent& re = log_[k];
       if (re.task < 0 || re.task >= ntasks_) continue;
-      // Receives, then the access node, then sends: a fence exit's
-      // incoming edges land before its outgoing ones, and accesses sit
-      // between the epoch edges that order them.
-      auto rit = rma_recvs.find(k);
-      if (rit != rma_recvs.end()) {
-        for (const Msg& m : rit->second) trace.recv(re.task, m.peer, m.tag);
+      // A fence's representative arrives at its exit: Win logs an exit
+      // only after acquiring every rank's publication.
+      const bool fence_exit = re.kind == SyncEvent::Kind::rma_fence_exit;
+      auto fit = fence_exit || re.kind == SyncEvent::Kind::rma_fence_enter
+                     ? fences.find({re.instance, re.task_count})
+                     : fences.end();
+      if (fit != fences.end()) {
+        const hb::SyncWave& w = fit->second;
+        if (!fence_exit && re.task != w.rep) w.arrive(trace, re.task);
+        if (fence_exit) {
+          if (re.task == w.rep) w.arrive(trace, re.task);
+          w.release(trace, re.task);
+        }
+      }
+      auto lit = lock_edges.find(k);  // locks receive, unlocks send
+      if (lit != lock_edges.end()) {
+        for (const hb::SyncWave& w : lit->second) w.release(trace, re.task);
       }
       if (is_rma_access(re.kind)) {
         accesses.push_back({static_cast<int>(trace.events().size()), k});
@@ -571,10 +535,6 @@ bool HlsChecker::verify() {
                         std::to_string(re.rma_target),
                     next_value++);
       }
-      auto sit = rma_sends.find(k);
-      if (sit != rma_sends.end()) {
-        for (const Msg& m : sit->second) trace.send(re.task, m.peer, m.tag);
-      }
       continue;
     }
     const long idx = episode_of[k];
@@ -582,35 +542,24 @@ bool HlsChecker::verify() {
     const Episode& ep = episodes[static_cast<std::size_t>(idx)];
     if (!episode_complete(ep)) continue;
     const SyncEvent& e = log_[k];
-    const int rep = rep_of(ep);
-    const long in_tag = ep.uid * 2;
-    const long out_tag = ep.uid * 2 + 1;
-    const bool release_point =
-        e.kind == SyncEvent::Kind::single_exec_begin ||
-        (e.kind == SyncEvent::Kind::barrier_exit && e.task == rep);
-    if (is_enter(e.kind)) {
-      if (e.task != rep) trace.send(e.task, rep, in_tag);
-    }
-    if (release_point) {
-      for (int p : ep.participants) {
-        if (p != rep) trace.recv(rep, p, in_tag);
-      }
+    const hb::SyncWave& w = waves[static_cast<std::size_t>(idx)];
+    if (is_enter(e.kind) && e.task != w.rep) w.arrive(trace, e.task);
+    if (e.kind == SyncEvent::Kind::single_exec_begin ||
+        (e.kind == SyncEvent::Kind::barrier_exit && e.task == w.rep)) {
+      w.arrive(trace, w.rep);
       if (ep.is_single) {
         writes[ep.key].push_back(
             {static_cast<int>(trace.events().size()), ep.uid});
-        trace.write(rep, var_of(ep), ep.uid);
+        trace.write(w.rep,
+                    "single:" + hls::to_string(ep.key.first) + ":" +
+                        std::to_string(ep.key.second),
+                    ep.uid);
       }
     }
     if (e.kind == SyncEvent::Kind::single_exec_end ||
-        (e.kind == SyncEvent::Kind::barrier_exit && e.task == rep)) {
-      for (int p : ep.participants) {
-        if (p != rep) trace.send(rep, p, out_tag);
-      }
-    }
-    if ((e.kind == SyncEvent::Kind::single_exit ||
-         e.kind == SyncEvent::Kind::barrier_exit) &&
-        e.task != rep) {
-      trace.recv(e.task, rep, out_tag);
+        e.kind == SyncEvent::Kind::single_exit ||
+        e.kind == SyncEvent::Kind::barrier_exit) {
+      w.release(trace, e.task);
     }
   }
 

@@ -13,13 +13,13 @@
 //    (and no readers beside a writer) per window lock word, and strictly
 //    increasing fence epochs per rank.
 // verify() then re-checks exclusion with the vector-clock machinery from
-// src/hb/: each completed episode is rebuilt from the log and modeled as
-// message traffic (participants -> representative -> participants), each
-// single block as a write on its instance; two writes on one instance
-// that the happens-before order leaves parallel are a violation. RMA
-// events join the same trace — fence groups as all-to-all message
-// exchanges through a representative, lock-release chains as messages
-// from each unlock to the lock acquisitions it released, and every
+// src/hb/: each completed episode is rebuilt from the log as an
+// all-to-all hb::SyncWave (participants -> representative ->
+// participants), each single block as a write on its instance; two writes
+// on one instance that the happens-before order leaves parallel are a
+// violation. RMA events join the same trace — fence groups as all-to-all
+// SyncWaves, lock-release chains as two-member fan-outs from each unlock
+// to the lock acquisitions it released, and every
 // put/get/accumulate as an access node — so conflicting one-sided
 // accesses that neither an epoch nor a lock orders are flagged as races.
 #pragma once

@@ -42,8 +42,8 @@ void Analyzer::compute_clocks() {
       std::vector<std::uint32_t>(static_cast<std::size_t>(n), 0));
   // Matched channels: (src,dst,tag) -> queue of send event ids already
   // processed; recv consumes in order.
-  std::map<std::tuple<int, int, int>, std::vector<int>> sent;
-  std::map<std::tuple<int, int, int>, std::size_t> consumed;
+  std::map<std::tuple<int, int, long>, std::vector<int>> sent;
+  std::map<std::tuple<int, int, long>, std::size_t> consumed;
 
   auto join = [n](std::vector<std::uint32_t>& a,
                   const std::vector<std::uint32_t>& b) {
@@ -66,43 +66,40 @@ void Analyzer::compute_clocks() {
 
     // Barrier waves need all participants at the barrier simultaneously.
     // First try to complete a wave.
-    for (int wave_try = 0; wave_try < 1; ++wave_try) {
-      bool all_at_barrier = n > 0;
-      int wave = -1;
+    bool all_at_barrier = n > 0;
+    int wave = -1;
+    for (int t = 0; t < n; ++t) {
+      const auto& order = trace_->program_order(t);
+      const std::size_t c = cursor[static_cast<std::size_t>(t)];
+      if (c >= order.size() ||
+          events[static_cast<std::size_t>(order[c])].kind !=
+              EventKind::barrier) {
+        all_at_barrier = false;
+        break;
+      }
+      const int w = events[static_cast<std::size_t>(order[c])].barrier_id;
+      if (wave == -1) wave = w;
+      if (w != wave) all_at_barrier = false;
+    }
+    if (all_at_barrier) {
+      // Join all clocks, stamp every barrier event with the join.
+      std::vector<std::uint32_t> merged(static_cast<std::size_t>(n), 0);
+      for (int t = 0; t < n; ++t) {
+        auto& tv = task_vc[static_cast<std::size_t>(t)];
+        tv[static_cast<std::size_t>(t)] += 1;
+        join(merged, tv);
+      }
       for (int t = 0; t < n; ++t) {
         const auto& order = trace_->program_order(t);
-        const std::size_t c = cursor[static_cast<std::size_t>(t)];
-        if (c >= order.size() ||
-            events[static_cast<std::size_t>(order[c])].kind !=
-                EventKind::barrier) {
-          all_at_barrier = false;
-          break;
-        }
-        const int w = events[static_cast<std::size_t>(order[c])].barrier_id;
-        if (wave == -1) wave = w;
-        if (w != wave) all_at_barrier = false;
+        const int id = order[cursor[static_cast<std::size_t>(t)]];
+        vc_[static_cast<std::size_t>(id)] = merged;
+        pos_[static_cast<std::size_t>(id)] =
+            merged[static_cast<std::size_t>(t)];
+        task_vc[static_cast<std::size_t>(t)] = merged;
+        ++cursor[static_cast<std::size_t>(t)];
+        ++done;
       }
-      if (all_at_barrier) {
-        // Join all clocks, stamp every barrier event with the join.
-        std::vector<std::uint32_t> merged(static_cast<std::size_t>(n), 0);
-        for (int t = 0; t < n; ++t) {
-          auto& tv = task_vc[static_cast<std::size_t>(t)];
-          tv[static_cast<std::size_t>(t)] += 1;
-          join(merged, tv);
-        }
-        for (int t = 0; t < n; ++t) {
-          const auto& order = trace_->program_order(t);
-          const int id = order[cursor[static_cast<std::size_t>(t)]];
-          vc_[static_cast<std::size_t>(id)] = merged;
-          pos_[static_cast<std::size_t>(id)] =
-              merged[static_cast<std::size_t>(t)];
-          task_vc[static_cast<std::size_t>(t)] = merged;
-          ++cursor[static_cast<std::size_t>(t)];
-          ++done;
-        }
-        progress = true;
-        continue;
-      }
+      progress = true;
     }
 
     // Then advance non-barrier events.

@@ -1,62 +1,53 @@
 // Automatic HLS-eligibility detection over a live run (the paper's
 // conclusion / future work, built on the §III formalism).
 //
-// Attach a RuntimeTracer to the MPI runtime before running a program:
-// every point-to-point completion is recorded automatically via the
-// runtime's TraceHook. Collectives are not seen yet: they run on
-// ShmCollEngine and send no p2p message, so a barrier or allreduce adds
-// no sync edge to the trace (ROADMAP: "An eligibility tracer that sees
-// collectives"). The application reports
+// The tracer is an obs::Sink: chain it on the recorder the runtime
+// records into — mpi::Options::obs, ClusterOptions::obs or
+// hls::Runtime::Options::obs_sink — and every synchronization the MPI
+// calls induce reaches it: p2p completions as send/recv pairs, every
+// in-node and ClusterComm collective and every RMA fence as an n-party
+// SyncWave shaped by what the call guarantees. The application reports
 // reads/writes to candidate global variables through on_read/on_write —
 // the instrumentation a compiler pass would insert. After the run,
 // trace() assembles an hb::Trace and advise() runs the Advisor.
 //
 //   hb::RuntimeTracer tracer(nranks);
-//   runtime.set_trace_hook(&tracer);
-//   runtime.run([&](Comm& world, TaskContext& ctx) {
-//     ...
-//     tracer.on_write(ctx.task_id(), "table", checksum);
-//     ...
-//   });
-//   runtime.set_trace_hook(nullptr);
+//   obs::Recorder rec({.ntasks = nranks, .ring_capacity = 0});
+//   rec.chain(&tracer);
+//   mpi::Options o;
+//   o.obs = &rec;
+//   ... run the program, calling tracer.on_write(task, "table", v) ...
 //   for (auto& a : tracer.advise()) ...
 //
 // Limitations (documented, by design): receives are recorded at wait()
-// (use wait, not bare test-loops, in traced programs), and value tracking
-// is by the caller-provided long (hash large objects).
+// (use wait, not bare test-loops, in traced programs), value tracking is
+// by the caller-provided long (hash large objects), and passive-target
+// lock/unlock epochs add no edge.
 #pragma once
 
 #include <mutex>
 
 #include "hb/advisor.hpp"
-#include "mpi/trace_hook.hpp"
 #include "obs/event.hpp"
 
 namespace hlsmpc::hb {
 
-/// Attachable two ways: as the runtime's TraceHook (set_trace_hook) or as
-/// an obs::Sink chained onto an obs::Recorder's event stream — the sink
-/// path decodes p2p_send/p2p_recv events into the same send/recv records.
-/// Attach through one of the two, not both, or every p2p completion is
-/// recorded twice.
-class RuntimeTracer final : public mpi::TraceHook, public obs::Sink {
+class RuntimeTracer final : public obs::Sink {
  public:
+  /// Throws HlsError in a build without the observability layer
+  /// (HLSMPC_OBS=OFF): no synchronization would ever reach the tracer.
   explicit RuntimeTracer(int ntasks);
 
   // Application-side instrumentation.
   void on_read(int task, const std::string& var, long value);
   void on_write(int task, const std::string& var, long value);
 
-  // mpi::TraceHook (called by the runtime).
-  void on_send(int task, int peer_task, int context, int tag) override;
-  void on_recv(int task, int peer_task, int context, int tag) override;
-
-  // obs::Sink: p2p events feed the same record stream; everything else is
-  // ignored, collective events included (they carry no sync edge yet; see
-  // the header comment).
+  /// obs::Sink: keeps p2p, collective and RMA fence events.
   void on_event(const obs::Event& e) override;
 
-  /// Assemble the recorded events into an analyzable trace.
+  /// Assemble the recorded events into an analyzable trace. The k-th
+  /// collective (fence) a task records under one key joins the k-th wave
+  /// of that key; a wave with a member whose call threw adds no edge.
   Trace trace() const;
   /// Full pipeline: trace -> happens-before -> per-variable advice.
   std::vector<Advice> advise() const { return Advisor::advise(trace()); }
@@ -65,21 +56,17 @@ class RuntimeTracer final : public mpi::TraceHook, public obs::Sink {
 
  private:
   struct Recorded {
-    EventKind kind;
-    std::string var;
-    long value = 0;
-    int peer = -1;
-    long tag = 0;
+    EventKind kind;   ///< barrier stands for any n-party sync
+    std::string var;  ///< read/write
+    long value = 0;   ///< read/write
+    obs::Event ev{};  ///< send/recv/barrier: the runtime's event
   };
   struct PerTask {
     mutable std::mutex mu;
     std::vector<Recorded> events;
   };
 
-  static long combined_tag(int context, int tag) {
-    return (static_cast<long>(context) << 32) |
-           static_cast<long>(static_cast<unsigned>(tag));
-  }
+  void push(int task, Recorded r);
 
   int ntasks_;
   std::vector<PerTask> per_task_;

@@ -70,4 +70,32 @@ std::vector<std::string> Trace::variables() const {
   return vars;
 }
 
+void SyncWave::arrive(Trace& t, int task) const {
+  if (shape == Shape::fan_out) return;
+  if (shape == Shape::prefix) {
+    const auto it = std::find(members.begin(), members.end(), task);
+    if (it != members.begin()) t.recv(task, *(it - 1), tag);
+  } else if (task != rep) {
+    t.send(task, rep, tag);
+  } else {
+    for (int m : members) {
+      if (m != rep) t.recv(rep, m, tag);
+    }
+  }
+}
+
+void SyncWave::release(Trace& t, int task) const {
+  if (shape == Shape::fan_in) return;
+  if (shape == Shape::prefix) {
+    const auto it = std::find(members.begin(), members.end(), task);
+    if (it + 1 < members.end()) t.send(task, *(it + 1), tag);
+  } else if (task != rep) {
+    t.recv(task, rep, tag + 1);
+  } else {
+    for (int m : members) {
+      if (m != rep) t.send(rep, m, tag + 1);
+    }
+  }
+}
+
 }  // namespace hlsmpc::hb

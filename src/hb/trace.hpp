@@ -57,4 +57,27 @@ class Trace {
   std::vector<std::vector<int>> per_task_;
 };
 
+/// One n-party synchronization — a barrier or single episode, a
+/// collective call, an RMA fence — as the trace messages that carry
+/// exactly the ordering it guarantees. Each member calls arrive() where
+/// it enters and release() where it leaves (both may sit at one point).
+/// The arrive() of `rep` (all_to_all, fan_in) receives every other
+/// member's arrival: call it where the rep has seen them all, e.g. just
+/// before its release.
+struct SyncWave {
+  enum class Shape {
+    all_to_all,  ///< every entry before every exit, through `rep`
+    fan_in,      ///< every entry before the exit of the root `rep`
+    fan_out,     ///< the entry of the root `rep` before every exit
+    prefix,      ///< a chain in `members` order: entry before later exits
+  };
+  Shape shape = Shape::all_to_all;
+  std::vector<int> members;
+  int rep = -1;  ///< representative or root; a member
+  long tag = 0;  ///< tag and tag + 1 carry no other message of the trace
+
+  void arrive(Trace& t, int task) const;
+  void release(Trace& t, int task) const;
+};
+
 }  // namespace hlsmpc::hb

@@ -8,7 +8,7 @@
 #include "fault/injector.hpp"
 #include "mpi/coll_algo.hpp"
 #include "mpi/coll_shm.hpp"
-#include "obs/recorder.hpp"
+#include "mpi/detail/obs_events.hpp"
 
 #include "mpi/recover.hpp"
 
@@ -189,6 +189,15 @@ int ClusterComm::pos_of(const View& v, int node) {
   return static_cast<int>(it - v.live.begin());
 }
 
+int ClusterComm::live_pos(const View& v, int node, const char* what) {
+  const int pos = pos_of(v, node);
+  if (pos < 0) {
+    throw NodeDeadError(node, std::string(what) + " " + std::to_string(node) +
+                                  " was excluded by shrink");
+  }
+  return pos;
+}
+
 int ClusterComm::next_coll_tag(int grank, std::uint64_t epoch) {
   // Per-rank counters agree because all ranks enter collectives on this
   // comm in the same order (MPI requirement). The epoch in the high bits
@@ -222,14 +231,6 @@ void ClusterComm::node_gate(ult::TaskContext& lctx, Comm& nc, int node,
   }
 }
 
-void ClusterComm::count_coll(int grank) {
-#if HLSMPC_OBS_ENABLED
-  if (obs_ != nullptr) obs_->count(grank, obs::Counter::coll_ops);
-#else
-  (void)grank;
-#endif
-}
-
 // ---- global p2p ----
 
 void ClusterComm::send(ult::TaskContext& ctx, const void* buf,
@@ -245,6 +246,8 @@ void ClusterComm::send(ult::TaskContext& ctx, const void* buf,
   transport_wait(ctx, r, nullptr, obs_);
 #if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) obs_->count(me, obs::Counter::net_sends);
+  detail::record_p2p(obs_, obs::EventKind::p2p_send, ctx, dst, kP2pContext,
+                     tag);
 #endif
 }
 
@@ -258,9 +261,13 @@ void ClusterComm::recv(ult::TaskContext& ctx, void* buf, std::size_t capacity,
   }
   const int me = rank(ctx);
   Request r = fabric_->irecv(ctx, me, buf, capacity, src, tag, kP2pContext);
-  transport_wait(ctx, r, status, obs_);
+  Status st;
+  transport_wait(ctx, r, &st, obs_);
+  if (status != nullptr) *status = st;
 #if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) obs_->count(me, obs::Counter::net_recvs);
+  detail::record_p2p(obs_, obs::EventKind::p2p_recv, ctx, st.source,
+                     kP2pContext, st.tag);
 #endif
 }
 
@@ -394,15 +401,10 @@ bool ClusterComm::leader_bcast(ult::TaskContext& ctx, int pos, const View& v,
 void ClusterComm::barrier(ult::TaskContext& ctx) {
   const int g = rank(ctx);
   const int node = node_of(g);
-  count_coll(g);
   const auto view = snapshot_view();
   const int tag = next_coll_tag(g, view->epoch);
-  const int pos = pos_of(*view, node);
-  if (pos < 0) {
-    throw NodeDeadError(node, "cluster barrier: node " +
-                                  std::to_string(node) +
-                                  " was excluded by shrink");
-  }
+  HLSMPC_OBS_COLL(obs_, barrier, 0, kCollContext, tag, -1);
+  const int pos = live_pos(*view, node, "cluster barrier: node");
   LocalCtx lctx(ctx, local_of(g));
   Comm& nc = node_comm(node);
   // The gates themselves provide local arrival and release, so the
@@ -432,20 +434,11 @@ void ClusterComm::bcast(ult::TaskContext& ctx, void* buf, std::size_t bytes,
   const int g = rank(ctx);
   const int node = node_of(g);
   const int root_node = node_of(root);
-  count_coll(g);
   const auto view = snapshot_view();
   const int tag = next_coll_tag(g, view->epoch);
-  const int pos = pos_of(*view, node);
-  if (pos < 0) {
-    throw NodeDeadError(node, "cluster bcast: node " + std::to_string(node) +
-                                  " was excluded by shrink");
-  }
-  const int root_pos = pos_of(*view, root_node);
-  if (root_pos < 0) {
-    throw NodeDeadError(root_node, "cluster bcast: root node " +
-                                       std::to_string(root_node) +
-                                       " was excluded by shrink");
-  }
+  HLSMPC_OBS_COLL(obs_, bcast, bytes, kCollContext, tag, root);
+  const int pos = live_pos(*view, node, "cluster bcast: node");
+  const int root_pos = live_pos(*view, root_node, "cluster bcast: root node");
   LocalCtx lctx(ctx, local_of(g));
   Comm& nc = node_comm(node);
   node_gate(lctx, nc, node, "cluster bcast");
@@ -475,19 +468,11 @@ void ClusterComm::reduce(ult::TaskContext& ctx, const void* sendbuf,
   const int g = rank(ctx);
   const int node = node_of(g);
   const std::size_t bytes = count * elem_bytes;
-  count_coll(g);
   const auto view = snapshot_view();
   const int tag = next_coll_tag(g, view->epoch);
-  const int pos = pos_of(*view, node);
-  if (pos < 0) {
-    throw NodeDeadError(node, "cluster reduce: node " + std::to_string(node) +
-                                  " was excluded by shrink");
-  }
-  if (pos_of(*view, node_of(root)) < 0) {
-    throw NodeDeadError(node_of(root), "cluster reduce: root node " +
-                                           std::to_string(node_of(root)) +
-                                           " was excluded by shrink");
-  }
+  HLSMPC_OBS_COLL(obs_, reduce, bytes, kCollContext, tag, root);
+  const int pos = live_pos(*view, node, "cluster reduce: node");
+  live_pos(*view, node_of(root), "cluster reduce: root node");
   LocalCtx lctx(ctx, local_of(g));
   Comm& nc = node_comm(node);
   node_gate(lctx, nc, node, "cluster reduce");
@@ -531,15 +516,10 @@ void ClusterComm::allreduce(ult::TaskContext& ctx, const void* sendbuf,
                             std::size_t elem_bytes, const ReduceFn& fn) {
   const int g = rank(ctx);
   const int node = node_of(g);
-  count_coll(g);
   const auto view = snapshot_view();
   const int tag = next_coll_tag(g, view->epoch);
-  const int pos = pos_of(*view, node);
-  if (pos < 0) {
-    throw NodeDeadError(node, "cluster allreduce: node " +
-                                  std::to_string(node) +
-                                  " was excluded by shrink");
-  }
+  HLSMPC_OBS_COLL(obs_, allreduce, count * elem_bytes, kCollContext, tag, -1);
+  const int pos = live_pos(*view, node, "cluster allreduce: node");
   const int npos = static_cast<int>(view->live.size());
   const int lane = local_of(g);
   const std::size_t bytes = count * elem_bytes;
@@ -603,15 +583,10 @@ void ClusterComm::allgather(ult::TaskContext& ctx, const void* sendbuf,
   const int g = rank(ctx);
   const int node = node_of(g);
   const std::size_t node_block = static_cast<std::size_t>(rpn_) * bytes;
-  count_coll(g);
   const auto view = snapshot_view();
   const int tag = next_coll_tag(g, view->epoch);
-  const int pos = pos_of(*view, node);
-  if (pos < 0) {
-    throw NodeDeadError(node, "cluster allgather: node " +
-                                  std::to_string(node) +
-                                  " was excluded by shrink");
-  }
+  HLSMPC_OBS_COLL(obs_, allgather, bytes, kCollContext, tag, -1);
+  const int pos = live_pos(*view, node, "cluster allgather: node");
   const int npos = static_cast<int>(view->live.size());
   LocalCtx lctx(ctx, local_of(g));
   Comm& nc = node_comm(node);
@@ -667,10 +642,7 @@ ShrinkReport ClusterComm::shrink(ult::TaskContext& ctx) {
   const int g = rank(ctx);
   const int node = node_of(g);
   const auto view = snapshot_view();
-  if (pos_of(*view, node) < 0) {
-    throw NodeDeadError(node, "shrink: node " + std::to_string(node) +
-                                  " was excluded by an earlier shrink");
-  }
+  live_pos(*view, node, "shrink: node");
   LocalCtx lctx(ctx, local_of(g));
   Comm& nc = node_comm(node);
   // Sample the reset generation BEFORE the quiescing barrier: the leader

@@ -231,6 +231,8 @@ class ClusterComm {
   void publish_view(std::unique_ptr<View> v);
   /// Position of `node` in the view's live list, or -1 when excluded.
   static int pos_of(const View& v, int node);
+  /// pos_of, or NodeDeadError "<what> <node> was excluded by shrink".
+  static int live_pos(const View& v, int node, const char* what);
   /// Fused node gate: local barrier, local rank 0 publishes the fabric's
   /// poison verdict, local barrier, everyone reads it — so all ranks of a
   /// node throw NodeDeadError together or all proceed together.
@@ -274,7 +276,6 @@ class ClusterComm {
   /// Swap in the post-agreement view; first leader wins (keyed on the
   /// epoch the agreement ran under), later leaders see the installed one.
   void install_view(std::uint64_t expected_epoch, std::uint64_t dead_mask);
-  void count_coll(int grank);
 
   SimCluster* cluster_;
   SimFabricTransport* fabric_;

@@ -15,83 +15,24 @@
 #include "mpi/coll_algo.hpp"
 #include "mpi/coll_shm.hpp"
 #include "mpi/comm.hpp"
+#include "mpi/detail/obs_events.hpp"
 #include "mpi/runtime.hpp"
-#include "obs/recorder.hpp"
 
 namespace hlsmpc::mpi {
 
-namespace {
-
-#if HLSMPC_OBS_ENABLED
-/// RAII span for one collective call: bumps coll_ops on entry, records a
-/// `collective` event covering the whole call on destruction. Composite
-/// collectives (allreduce, allgather, ...) nest their phases' spans inside
-/// their own; a trace viewer renders them as nested slices. The event's
-/// arg packs the op together with the algorithm that actually served the
-/// call (set_alg; defaults to p2p).
-class CollScope {
- public:
-  CollScope(Runtime& rt, obs::CollOp op, const ult::TaskContext& ctx,
-            std::int64_t bytes)
-      : obs_(rt.obs()),
-        op_(op),
-        task_(ctx.task_id()),
-        cpu_(ctx.cpu()),
-        bytes_(bytes) {
-    if (obs_ == nullptr) return;
-    obs_->count(task_, obs::Counter::coll_ops);
-    t0_ = obs_->now();
-  }
-  CollScope(const CollScope&) = delete;
-  CollScope& operator=(const CollScope&) = delete;
-  ~CollScope() {
-    if (obs_ == nullptr) return;
-    obs::Event e;
-    e.kind = obs::EventKind::collective;
-    e.task = task_;
-    e.cpu = cpu_;
-    e.t0 = t0_;
-    e.t1 = obs_->now();
-    e.arg = obs::coll_event_arg(op_, alg_);
-    e.arg2 = bytes_;
-    obs_->record(e);
-  }
-
-  void set_alg(obs::CollAlg alg) {
-    alg_ = alg;
-    if (obs_ != nullptr && alg != obs::CollAlg::p2p) {
-      obs_->count(task_, obs::Counter::coll_shm_ops);
-      if (alg == obs::CollAlg::shm_pipelined) {
-        obs_->count(task_, obs::Counter::coll_shm_pipelined_ops);
-      }
-    }
-  }
-
- private:
-  obs::Recorder* obs_;
-  obs::CollOp op_;
-  obs::CollAlg alg_ = obs::CollAlg::p2p;
-  int task_;
-  int cpu_;
-  std::int64_t bytes_;
-  std::uint64_t t0_ = 0;
-};
-#define HLSMPC_OBS_COLL(op, bytes)                      \
-  CollScope obs_coll_scope_(*rt_, obs::CollOp::op, ctx, \
-                            static_cast<std::int64_t>(bytes))
-#define HLSMPC_OBS_COLL_ALG(alg) obs_coll_scope_.set_alg(alg)
-#else
-#define HLSMPC_OBS_COLL(op, bytes) (void)0
-#define HLSMPC_OBS_COLL_ALG(alg) (void)(alg)
-#endif
-
-}  // namespace
+/// The obs span of an in-node collective of this comm (detail::CollScope).
+#define HLSMPC_COMM_COLL(op, bytes, tag, peer) \
+  HLSMPC_OBS_COLL(rt_->obs(), op, bytes, coll_context_, tag, peer)
+/// Key tag of the collectives that draw no sequence (a draw would write the
+/// line all ranks' counters share): a sink pairs the k-th such call of
+/// every member, which MPI's call order makes one call.
+constexpr int kUnsequenced = -1;
 
 void Comm::barrier(ult::TaskContext& ctx) {
-  HLSMPC_OBS_COLL(barrier, 0);
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
+  HLSMPC_COMM_COLL(barrier, 0, tag, -1);
   if (n == 1) return;
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(shm_->barrier_alg());
@@ -112,11 +53,11 @@ void Comm::barrier(ult::TaskContext& ctx) {
 
 void Comm::bcast(ult::TaskContext& ctx, void* buf, std::size_t bytes,
                  int root) {
-  HLSMPC_OBS_COLL(bcast, bytes);
   check_rank(root, "bcast");
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
+  HLSMPC_COMM_COLL(bcast, bytes, tag, global_task(root));
   if (n == 1) return;
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
@@ -148,12 +89,12 @@ void Comm::bcast(ult::TaskContext& ctx, void* buf, std::size_t bytes,
 void Comm::reduce(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
                   std::size_t count, std::size_t elem_bytes,
                   const ReduceFn& fn, int root) {
-  HLSMPC_OBS_COLL(reduce, count * elem_bytes);
   check_rank(root, "reduce");
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
   const std::size_t bytes = count * elem_bytes;
+  HLSMPC_COMM_COLL(reduce, bytes, tag, global_task(root));
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
     shm_->reduce(ctx, me, sendbuf, recvbuf, count, elem_bytes, fn, root);
@@ -209,7 +150,7 @@ void Comm::reduce(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
 void Comm::allreduce(ult::TaskContext& ctx, const void* sendbuf,
                      void* recvbuf, std::size_t count, std::size_t elem_bytes,
                      const ReduceFn& fn) {
-  HLSMPC_OBS_COLL(allreduce, count * elem_bytes);
+  HLSMPC_COMM_COLL(allreduce, count * elem_bytes, kUnsequenced, -1);
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(shm_->select(count * elem_bytes));
     shm_->allreduce(ctx, rank(ctx), sendbuf, recvbuf, count, elem_bytes, fn);
@@ -221,7 +162,8 @@ void Comm::allreduce(ult::TaskContext& ctx, const void* sendbuf,
 
 void Comm::gather(ult::TaskContext& ctx, const void* sendbuf,
                   std::size_t bytes, void* recvbuf, int root) {
-  HLSMPC_OBS_COLL(gather, bytes);
+  check_rank(root, "gather");
+  HLSMPC_COMM_COLL(gather, bytes, kUnsequenced, global_task(root));
   std::vector<std::size_t> counts(static_cast<std::size_t>(size()), bytes);
   std::vector<std::size_t> displs(static_cast<std::size_t>(size()));
   for (int r = 0; r < size(); ++r) {
@@ -234,15 +176,15 @@ void Comm::gatherv(ult::TaskContext& ctx, const void* sendbuf,
                    std::size_t bytes, void* recvbuf,
                    std::span<const std::size_t> counts,
                    std::span<const std::size_t> displs, int root) {
-  HLSMPC_OBS_COLL(gatherv, bytes);
   check_rank(root, "gatherv");
   const int me = rank(ctx);
   const int n = size();
+  const int tag = next_coll_tag(me);
+  HLSMPC_COMM_COLL(gatherv, bytes, tag, global_task(root));
   if (counts.size() != static_cast<std::size_t>(n) ||
       displs.size() != static_cast<std::size_t>(n)) {
     throw MpiError("gatherv: counts/displs must have one entry per rank");
   }
-  const int tag = next_coll_tag(me);
   if (me == root) {
     auto* out = static_cast<std::byte*>(recvbuf);
     // Post every receive first so senders complete without serialising on
@@ -275,11 +217,11 @@ void Comm::gatherv(ult::TaskContext& ctx, const void* sendbuf,
 
 void Comm::scatter(ult::TaskContext& ctx, const void* sendbuf,
                    std::size_t bytes, void* recvbuf, int root) {
-  HLSMPC_OBS_COLL(scatter, bytes);
   check_rank(root, "scatter");
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
+  HLSMPC_COMM_COLL(scatter, bytes, tag, global_task(root));
   if (me == root) {
     const auto* in = static_cast<const std::byte*>(sendbuf);
     for (int r = 0; r < n; ++r) {
@@ -297,7 +239,7 @@ void Comm::scatter(ult::TaskContext& ctx, const void* sendbuf,
 
 void Comm::allgather(ult::TaskContext& ctx, const void* sendbuf,
                      std::size_t bytes, void* recvbuf) {
-  HLSMPC_OBS_COLL(allgather, bytes);
+  HLSMPC_COMM_COLL(allgather, bytes, kUnsequenced, -1);
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
     shm_->allgather(ctx, rank(ctx), sendbuf, bytes, recvbuf);
@@ -311,10 +253,10 @@ void Comm::allgather(ult::TaskContext& ctx, const void* sendbuf,
 
 void Comm::alltoall(ult::TaskContext& ctx, const void* sendbuf,
                     std::size_t bytes_per_rank, void* recvbuf) {
-  HLSMPC_OBS_COLL(alltoall, bytes_per_rank);
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
+  HLSMPC_COMM_COLL(alltoall, bytes_per_rank, tag, -1);
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(
         shm_->select(bytes_per_rank * static_cast<std::size_t>(n)));
@@ -347,11 +289,11 @@ void Comm::alltoall(ult::TaskContext& ctx, const void* sendbuf,
 void Comm::scan(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
                 std::size_t count, std::size_t elem_bytes,
                 const ReduceFn& fn) {
-  HLSMPC_OBS_COLL(scan, count * elem_bytes);
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
   const std::size_t bytes = count * elem_bytes;
+  HLSMPC_COMM_COLL(scan, bytes, tag, me);
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
     shm_->scan(ctx, me, sendbuf, recvbuf, count, elem_bytes, fn);
@@ -384,11 +326,11 @@ void Comm::scan(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
 void Comm::exscan(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
                   std::size_t count, std::size_t elem_bytes,
                   const ReduceFn& fn) {
-  HLSMPC_OBS_COLL(exscan, count * elem_bytes);
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
   const std::size_t bytes = count * elem_bytes;
+  HLSMPC_COMM_COLL(exscan, bytes, tag, me);
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
     shm_->exscan(ctx, me, sendbuf, recvbuf, count, elem_bytes, fn);
@@ -424,9 +366,9 @@ void Comm::exscan(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
 void Comm::reduce_scatter_block(ult::TaskContext& ctx, const void* sendbuf,
                                 void* recvbuf, std::size_t count,
                                 std::size_t elem_bytes, const ReduceFn& fn) {
-  HLSMPC_OBS_COLL(reduce_scatter, count * elem_bytes);
   const int me = rank(ctx);
   const int n = size();
+  HLSMPC_COMM_COLL(reduce_scatter, count * elem_bytes, kUnsequenced, -1);
   const std::size_t block = count * elem_bytes;
   if (shm_ != nullptr) {
     HLSMPC_OBS_COLL_ALG(shm_->select(block * static_cast<std::size_t>(n)));

@@ -1,50 +1,21 @@
 // Point-to-point layer: MPI semantics over the Transport abstraction.
 //
-// Comm validates arguments, stamps rank labels, and feeds the trace /
-// obs hooks; the actual matching and byte movement happen inside the
+// Comm validates arguments, stamps rank labels, and records the p2p obs
+// events; the actual matching and byte movement happen inside the
 // runtime's Transport (shm_transport.cpp for the intra-node engine).
 #include "mpi/comm.hpp"
+#include "mpi/detail/obs_events.hpp"
 #include "mpi/runtime.hpp"
-#include "obs/recorder.hpp"
 
 namespace hlsmpc::mpi {
-
-namespace {
-
-#if HLSMPC_OBS_ENABLED
-/// Instant p2p event (send initiated / receive completed), mirroring the
-/// TraceHook callbacks so obs sinks see the same stream hb::RuntimeTracer
-/// consumes.
-void obs_p2p(obs::Recorder* obs, obs::EventKind kind, int task, int cpu,
-             int peer, int context, int tag) {
-  if (obs == nullptr) return;
-  obs->count(task, kind == obs::EventKind::p2p_send
-                       ? obs::Counter::p2p_sends
-                       : obs::Counter::p2p_recvs);
-  obs::Event e;
-  e.kind = kind;
-  e.task = task;
-  e.cpu = cpu;
-  e.t0 = e.t1 = obs->now();
-  e.arg = peer;
-  e.arg2 = (static_cast<std::int64_t>(context) << 32) |
-           static_cast<std::int64_t>(static_cast<std::uint32_t>(tag));
-  obs->record(e);
-}
-#endif
-
-}  // namespace
 
 Request Comm::isend_ctx(ult::TaskContext& ctx, const void* buf,
                         std::size_t bytes, int dst, int tag, int context) {
   check_rank(dst, "send");
   const int me = rank(ctx);
-  if (TraceHook* hook = rt_->trace_hook()) {
-    hook->on_send(ctx.task_id(), global_task(dst), context, tag);
-  }
 #if HLSMPC_OBS_ENABLED
-  obs_p2p(rt_->obs(), obs::EventKind::p2p_send, ctx.task_id(), ctx.cpu(),
-          global_task(dst), context, tag);
+  detail::record_p2p(rt_->obs(), obs::EventKind::p2p_send, ctx,
+                     global_task(dst), context, tag);
 #endif
   // The message is stamped with the sender's comm-local rank (matching is
   // per communicator via the context id); the endpoint is the
@@ -79,17 +50,13 @@ void Comm::wait(ult::TaskContext& ctx, Request& req, Status* status) {
                 rt_->obs());
   if (!st->error.empty()) throw MpiError(st->error);
   if (status != nullptr) *status = st->status;
-  if (st->trace_is_recv && st->status.source >= 0) {
-    if (TraceHook* hook = rt_->trace_hook()) {
-      hook->on_recv(ctx.task_id(), global_task(st->status.source),
-                    st->trace_context, st->status.tag);
-    }
 #if HLSMPC_OBS_ENABLED
-    obs_p2p(rt_->obs(), obs::EventKind::p2p_recv, ctx.task_id(), ctx.cpu(),
-            global_task(st->status.source), st->trace_context,
-            st->status.tag);
-#endif
+  if (st->trace_context >= 0 && st->status.source >= 0) {
+    detail::record_p2p(rt_->obs(), obs::EventKind::p2p_recv, ctx,
+                       global_task(st->status.source), st->trace_context,
+                       st->status.tag);
   }
+#endif
   req.state().reset();
 }
 
@@ -131,8 +98,7 @@ bool Comm::test(Request& req, Status* status) {
 void Comm::send(ult::TaskContext& ctx, const void* buf, std::size_t bytes,
                 int dst, int tag) {
   check_tag(tag);
-  Request req = isend_ctx(ctx, buf, bytes, dst, tag, pt2pt_context_);
-  wait(ctx, req);
+  send_ctx(ctx, buf, bytes, dst, tag, pt2pt_context_);
 }
 
 void Comm::send_ctx(ult::TaskContext& ctx, const void* buf, std::size_t bytes,
@@ -144,8 +110,7 @@ void Comm::send_ctx(ult::TaskContext& ctx, const void* buf, std::size_t bytes,
 void Comm::recv(ult::TaskContext& ctx, void* buf, std::size_t capacity,
                 int src, int tag, Status* status) {
   if (tag != kAnyTag) check_tag(tag);
-  Request req = irecv_ctx(ctx, buf, capacity, src, tag, pt2pt_context_);
-  wait(ctx, req, status);
+  recv_ctx(ctx, buf, capacity, src, tag, pt2pt_context_, status);
 }
 
 void Comm::recv_ctx(ult::TaskContext& ctx, void* buf, std::size_t capacity,

@@ -211,7 +211,7 @@ void Win::fence(ult::TaskContext& ctx, int me) {
     e.instance = id_;
     e.t0 = t0;
     e.t1 = opts_.obs->now();
-    e.arg = 0;
+    e.arg2 = static_cast<std::int64_t>(next);  // arg 0 = fence
     opts_.obs->record(e);
   }
 #endif

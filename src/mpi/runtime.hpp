@@ -15,7 +15,6 @@
 #include "memtrack/memtrack.hpp"
 #include "mpi/buffers.hpp"
 #include "mpi/comm.hpp"
-#include "mpi/trace_hook.hpp"
 #include "mpi/transport.hpp"
 #include "obs/event.hpp"
 #include "topo/topology.hpp"
@@ -99,11 +98,6 @@ class Runtime {
   /// pending p2p operation).
   void reset_collectives();
 
-  /// Attach a synchronization tracer (nullptr to detach). The hook sees
-  /// every p2p completion; it must outlive subsequent run() calls.
-  void set_trace_hook(TraceHook* hook) { trace_hook_ = hook; }
-  TraceHook* trace_hook() const { return trace_hook_; }
-
   /// The recorder passed via Options; nullptr when unset or when the
   /// observability layer is compiled out.
 #if HLSMPC_OBS_ENABLED
@@ -133,7 +127,6 @@ class Runtime {
   std::vector<std::unique_ptr<rma::Win>> wins_;  // guarded by comms_mu_
   std::mutex comms_mu_;
   std::atomic<int> next_context_{0};
-  TraceHook* trace_hook_ = nullptr;
 #if HLSMPC_OBS_ENABLED
   obs::Recorder* obs_ = nullptr;
 #endif

@@ -154,7 +154,6 @@ Request ShmTransport::irecv(ult::TaskContext& ctx, int me_ep, void* buf,
   ride_out_flaps(ctx, me_ep, "recv");
   detail::Mailbox& mb = mailbox(me_ep, "recv");
   auto req = std::make_shared<RequestState>();
-  req->trace_is_recv = true;
   req->trace_context = context;
 
   std::unique_lock<std::mutex> lk(mb.mu);

@@ -205,7 +205,6 @@ Request SimFabricTransport::irecv(ult::TaskContext& ctx, int me_ep, void* buf,
                              std::to_string(me_ep));
   }
   auto req = std::make_shared<RequestState>();
-  req->trace_is_recv = true;
   req->trace_context = context;
 
   std::unique_lock<std::mutex> lk(mb.mu);

@@ -410,7 +410,6 @@ Request TcpTransport::irecv(ult::TaskContext& ctx, int me_ep, void* buf,
                    ")");
   }
   auto req = std::make_shared<RequestState>();
-  req->trace_is_recv = true;
   req->trace_context = context;
 
   std::unique_lock<std::mutex> lk(inbox_.mu);

@@ -54,10 +54,9 @@ struct RequestState {
   /// supervision): transport_wait() rethrows these as NodeDeadError so
   /// cluster code can name the first unreachable node.
   int error_node = -1;
-  /// Tracing metadata: receives are reported to the TraceHook at wait()
-  /// time (when the synchronization takes effect and the source is
-  /// resolved).
-  bool trace_is_recv = false;
+  /// Context of a receive (-1 for a send): Comm::wait records its p2p_recv
+  /// obs event, when the synchronization takes effect and the source is
+  /// resolved.
   int trace_context = -1;
 
   void complete(const Status& st) {

@@ -94,22 +94,35 @@ std::string slice_name(const TraceNaming& naming, const Event& e) {
 
 void emit_args(std::ostringstream& os, const Event& e) {
   os << "{\"cpu\": " << e.cpu;
-  if (e.instance >= 0) os << ", \"instance\": " << e.instance;
+  if (e.instance >= 0 && e.kind != EventKind::collective) {
+    os << ", \"instance\": " << e.instance;
+  }
   switch (e.kind) {
     case EventKind::first_touch:
       os << ", \"bytes\": " << e.arg;
       break;
-    case EventKind::collective:
-      if (e.arg2 > 0) os << ", \"bytes\": " << e.arg2;
-      os << ", \"alg\": \"" << to_string(coll_alg_of(e.arg)) << "\"";
+    case EventKind::collective: {
+      // The key lines up the participants of one call.
+      const CollOp op = coll_op_of(e.arg);
+      const std::int64_t bytes = coll_bytes_of(e.arg);
+      if (bytes > 0) os << ", \"bytes\": " << bytes;
+      os << ", \"alg\": \"" << to_string(coll_alg_of(e.arg))
+         << "\", \"key\": \"" << key_context_of(e.arg2) << ":"
+         << key_tag_of(e.arg2) << "\"";
+      if (e.instance >= 0) {
+        os << (op == CollOp::scan || op == CollOp::exscan ? ", \"rank\": "
+                                                          : ", \"root\": ")
+           << e.instance;
+      }
       break;
+    }
     case EventKind::migration:
       os << ", \"new_cpu\": " << e.arg;
       break;
     case EventKind::p2p_send:
     case EventKind::p2p_recv:
-      os << ", \"peer\": " << e.arg << ", \"context\": " << (e.arg2 >> 32)
-         << ", \"tag\": " << (e.arg2 & 0xffffffff);
+      os << ", \"peer\": " << e.arg << ", \"context\": "
+         << key_context_of(e.arg2) << ", \"tag\": " << key_tag_of(e.arg2);
       break;
     case EventKind::ctx_switch:
       os << ", \"worker\": " << e.arg;
@@ -121,7 +134,7 @@ void emit_args(std::ostringstream& os, const Event& e) {
       os << ", \"bytes\": " << e.arg2;
       break;
     case EventKind::rma_epoch:
-      if (e.arg != 0) os << ", \"target\": " << e.arg2;
+      os << (e.arg != 0 ? ", \"target\": " : ", \"epoch\": ") << e.arg2;
       break;
     case EventKind::tier_spill:
       os << ", \"bytes\": " << e.arg << ", \"reopened\": " << e.arg2;

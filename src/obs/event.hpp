@@ -85,18 +85,24 @@ enum class EventKind : std::uint8_t {
   nowait,       ///< single-nowait site (instant; flag = claimed)
   migration,    ///< MPC_Move stall: enter -> re-pin (flag = accepted)
   first_touch,  ///< lazy region materialization (arg = bytes)
-  collective,   ///< one MPI collective call (arg = CollOp | CollAlg << 8)
-  p2p_send,     ///< send initiated (arg = peer task, arg2 = ctx<<32|tag)
-  p2p_recv,     ///< receive completed (arg = peer task, arg2 = ctx<<32|tag)
+  collective,   ///< one MPI collective call (arg = coll_event_arg, arg2 =
+                ///< sync_key(coll context, call sequence, or -1 for calls
+                ///< that draw none: the k-th such call of every member is
+                ///< one call); instance = root task for rooted
+                ///< ops, the caller's comm rank for scan/exscan, else -1;
+                ///< flag = completed, false when the call threw)
+  p2p_send,     ///< send initiated (arg = peer task, arg2 = sync_key)
+  p2p_recv,     ///< receive completed (arg = peer task, arg2 = sync_key)
   ctx_switch,   ///< fiber resumed on a worker (arg = worker)
   watchdog,     ///< sync watchdog fired: a barrier/single/RMA epoch stuck
                 ///< past the deadline (instant; arg = ms waited, arg2 =
                 ///< missing-task bitmask for tasks 0..63)
   rma_op,       ///< one one-sided op: put/get/accumulate (instance =
                 ///< window id, arg = RmaOp, arg2 = bytes)
-  rma_epoch,    ///< one RMA epoch episode: fence enter -> exit (arg = 0)
-                ///< or lock -> unlock (arg = 1 shared / 2 exclusive,
-                ///< arg2 = target rank); instance = window id
+  rma_epoch,    ///< one RMA epoch episode: fence enter -> exit (arg = 0,
+                ///< arg2 = fence epoch) or lock -> unlock (arg = 1
+                ///< shared / 2 exclusive, arg2 = target rank); instance =
+                ///< window id
   recovery,     ///< one recovery episode: NodeDeadError -> shrink agreement
                 ///< installed (arg = agreed dead-node bitmask, arg2 =
                 ///< agreement attempts used)
@@ -138,9 +144,11 @@ enum class CollAlg : std::int8_t { p2p, shm_flat, shm_hier, shm_pipelined };
 
 const char* to_string(CollAlg alg);
 
-inline constexpr std::int64_t coll_event_arg(CollOp op, CollAlg alg) {
+/// Event::arg of a collective: op, algorithm and payload bytes.
+inline constexpr std::int64_t coll_event_arg(CollOp op, CollAlg alg,
+                                             std::int64_t bytes = 0) {
   return static_cast<std::int64_t>(op) |
-         (static_cast<std::int64_t>(alg) << 8);
+         (static_cast<std::int64_t>(alg) << 8) | (bytes << 16);
 }
 inline constexpr CollOp coll_op_of(std::int64_t arg) {
   return static_cast<CollOp>(arg & 0xff);
@@ -148,8 +156,24 @@ inline constexpr CollOp coll_op_of(std::int64_t arg) {
 inline constexpr CollAlg coll_alg_of(std::int64_t arg) {
   return static_cast<CollAlg>((arg >> 8) & 0xff);
 }
+inline constexpr std::int64_t coll_bytes_of(std::int64_t arg) {
+  return arg >> 16;
+}
 
-/// One observable runtime step. 48 bytes; rings of these are per-task.
+/// Event::arg2 of p2p and collective events: the matching context over
+/// the message tag or the collective call's sequence number.
+inline constexpr std::int64_t sync_key(int context, int tag) {
+  return (static_cast<std::int64_t>(context) << 32) |
+         static_cast<std::int64_t>(static_cast<std::uint32_t>(tag));
+}
+inline constexpr int key_context_of(std::int64_t key) {
+  return static_cast<int>(key >> 32);
+}
+inline constexpr std::uint32_t key_tag_of(std::int64_t key) {
+  return static_cast<std::uint32_t>(key);
+}
+
+/// One observable runtime step; rings of these are per-task.
 struct Event {
   EventKind kind = EventKind::barrier;
   bool flag = false;        ///< nowait: claimed; migration: accepted
@@ -160,10 +184,11 @@ struct Event {
   std::uint64_t t0 = 0;     ///< ns since the recorder's epoch
   std::uint64_t t1 = 0;     ///< == t0 for instant events
   std::int64_t arg = 0;     ///< kind-specific payload (bytes, peer, op...)
-  std::int64_t arg2 = 0;    ///< secondary payload (p2p: context<<32 | tag)
+  std::int64_t arg2 = 0;    ///< secondary payload (p2p: sync_key)
 
   std::uint64_t duration_ns() const { return t1 - t0; }
 };
+static_assert(sizeof(Event) == 48, "rings hold 48-byte events");
 
 /// Receives every recorded event. May be called concurrently from all
 /// tasks; implementations synchronize internally. Install sinks before

@@ -137,11 +137,11 @@ class Backoff {
   static constexpr int kYieldProbes = 4;
 
   /// Busy-waiting can only ever pay off if the partner we wait for runs
-  /// simultaneously on another hardware thread; on a single-cpu host every
-  /// relax is stolen from the task we are waiting for, so skip straight to
-  /// yielding there.
+  /// simultaneously on another hardware thread; with one usable cpu (the
+  /// affinity mask, not the host's count) every relax is stolen from the
+  /// task we are waiting for, so skip straight to yielding there.
   static int machine_spin_probes() {
-    static const int v = std::thread::hardware_concurrency() > 1 ? 128 : 0;
+    static const int v = ThreadCensus::usable_cpus() > 1 ? 128 : 0;
     return v;
   }
 

@@ -179,9 +179,19 @@ TEST(ObsChromeTrace, EmitsSlicesInstantsAndMetadata) {
   barrier.instance = 0;
   evs.push_back(barrier);
   obs::Event coll = make_event(obs::EventKind::collective, 1, 2000, 2500);
-  coll.arg = static_cast<std::int64_t>(obs::CollOp::allreduce);
-  coll.arg2 = 4096;  // bytes
+  coll.arg = obs::coll_event_arg(obs::CollOp::allreduce,
+                                 obs::CollAlg::shm_hier, 4096);
+  coll.arg2 = obs::sync_key(5, 9);
   evs.push_back(coll);
+  obs::Event bcast = make_event(obs::EventKind::collective, 1, 2600, 2700);
+  bcast.arg = obs::coll_event_arg(obs::CollOp::bcast, obs::CollAlg::p2p);
+  bcast.arg2 = obs::sync_key(5, 10);
+  bcast.instance = 3;  // root task
+  evs.push_back(bcast);
+  obs::Event fence = make_event(obs::EventKind::rma_epoch, 0, 2800, 2900);
+  fence.instance = 2;  // window
+  fence.arg2 = 6;      // fence epoch
+  evs.push_back(fence);
   obs::Event p2p = make_event(obs::EventKind::p2p_send, 0, 2100, 2100);
   p2p.arg = 1;
   p2p.arg2 = (std::int64_t{7} << 32) | 42;
@@ -196,6 +206,13 @@ TEST(ObsChromeTrace, EmitsSlicesInstantsAndMetadata) {
   EXPECT_NE(json.find("barrier node#0"), std::string::npos) << json;
   EXPECT_NE(json.find("coll allreduce"), std::string::npos) << json;
   EXPECT_NE(json.find("\"bytes\": 4096"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"alg\": \"shm_hier\", \"key\": \"5:9\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"key\": \"5:10\", \"root\": 3"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"instance\": 2, \"epoch\": 6"), std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"tag\": 42"), std::string::npos) << json;
   EXPECT_NE(json.find("\"dur\": 2.000"), std::string::npos) << json;
   // Per-task thread metadata for both tasks.
@@ -506,28 +523,22 @@ TEST(ObsNode, SharedRecorderSeesMpiAndHls) {
 
 TEST(ObsNode, RuntimeTracerRetrofitsAsSink) {
   // hb::RuntimeTracer attached through the obs event stream (NodeOptions
-  // obs_sink) decodes p2p events into the same records the TraceHook path
-  // produces — the happens-before advisor runs off the obs stream.
+  // obs_sink): a barrier alone, served by the shared-memory engine without
+  // a p2p message, reaches it as a collective event and becomes the
+  // representative exchange of hb::SyncWave.
+  if (!HLSMPC_OBS_ENABLED) GTEST_SKIP() << "built with HLSMPC_OBS=OFF";
   topo::Machine m = topo::Machine::generic(1, 2);
   hb::RuntimeTracer tracer(2);
   mpc::NodeOptions opts;
   opts.mpi.nranks = 2;
   opts.obs_sink = &tracer;
   mpc::Node node(m, opts);
-  if (node.obs() == nullptr) GTEST_SKIP() << "built with HLSMPC_OBS=OFF";
 
   node.run([&](mpi::Comm& world, hls::TaskView& view) {
     auto& ctx = view.context();
-    tracer.on_write(ctx.task_id(), "x", ctx.task_id());
-    // A real message pair: a barrier alone can be served by the
-    // shared-memory collective engine, which emits no p2p events.
-    const int me = world.rank(ctx);
-    if (me == 0) {
-      world.send_value(ctx, 1, 1, 3);
-    } else {
-      (void)world.recv_value<int>(ctx, 0, 3);
-    }
-    tracer.on_read(ctx.task_id(), "x", 0);
+    if (ctx.task_id() == 0) tracer.on_write(0, "x", 1);
+    world.barrier(ctx);
+    tracer.on_read(ctx.task_id(), "x", 1);
   });
 
   const hb::Trace t = tracer.trace();

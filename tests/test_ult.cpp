@@ -198,3 +198,19 @@ TEST(Executor, BodyExceptionPropagates) {
              }),
       std::runtime_error);
 }
+
+TEST(Backoff, SpinBudgetIsZeroOnOneUsableCpu) {
+  // The ult_backoff_one_cpu ctest entry runs this under `taskset -c 0`;
+  // on more usable cpus there is nothing to check.
+  if (ult::ThreadCensus::usable_cpus() != 1) {
+    GTEST_SKIP() << "needs an affinity mask of one cpu";
+  }
+  ult::ThreadTaskContext ctx;
+  ult::Backoff backoff(ctx);
+  // No spin phase: the yield probes alone lead to should_block().
+  for (int probe = 0; probe < 4; ++probe) {
+    EXPECT_FALSE(backoff.should_block());
+    backoff.pause();
+  }
+  EXPECT_TRUE(backoff.should_block());
+}
