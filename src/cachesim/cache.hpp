@@ -52,7 +52,6 @@ class Cache {
   const CacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = CacheStats{}; }
 
-  int num_sets() const { return num_sets_; }
   int associativity() const { return assoc_; }
   std::size_t size_bytes() const { return size_bytes_; }
 

@@ -100,15 +100,6 @@ int PageCache::attach(shm::MappedSegment* seg, int sid, int instance) {
   return static_cast<int>(regions_.size() - 1);
 }
 
-void PageCache::detach(int rid) {
-  std::lock_guard<std::mutex> lk(mu_);
-  Region* r = region_locked(rid);
-  for (std::size_t p = 0; p < r->npages; ++p) {
-    if (r->resident[p] != 0) --resident_pages_;
-  }
-  regions_[static_cast<std::size_t>(rid)].reset();
-}
-
 std::size_t PageCache::scan_locked(const Region& r, std::size_t first,
                                    std::size_t end, unsigned char* dirty,
                                    std::uint32_t* crcs) const {
@@ -151,29 +142,36 @@ std::vector<std::pair<std::size_t, std::size_t>> PageCache::spans_locked(
   return out;
 }
 
-void PageCache::writeback_page_locked(Region& r, std::size_t page, int task) {
-  const std::size_t off = page * cfg_.page_bytes;
-  const std::size_t len = page_span(cfg_.page_bytes, r.seg->size(), page);
-  r.seg->sync(off, len, /*blocking=*/true);
-  r.noted[page] = 0;
+void PageCache::count_writeback_locked(const Region& r, std::size_t bytes,
+                                       std::size_t pages, int task) {
   ++stats_.writebacks;
-  stats_.writeback_bytes += len;
+  stats_.writeback_bytes += bytes;
 #if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) {
-    obs_->count(task, obs::Counter::tier_writeback_bytes, len);
+    obs_->count(task, obs::Counter::tier_writeback_bytes, bytes);
     obs::Event e;
     e.kind = obs::EventKind::tier_writeback;
     e.sid = static_cast<std::int16_t>(r.sid);
     e.task = task;
     e.instance = r.instance;
     e.t0 = e.t1 = obs_->now();
-    e.arg = static_cast<std::int64_t>(len);
-    e.arg2 = 1;
+    e.arg = static_cast<std::int64_t>(bytes);
+    e.arg2 = static_cast<std::int64_t>(pages);
     obs_->record(e);
   }
 #else
+  (void)r;
+  (void)pages;
   (void)task;
 #endif
+}
+
+void PageCache::writeback_page_locked(Region& r, std::size_t page, int task) {
+  const std::size_t off = page * cfg_.page_bytes;
+  const std::size_t len = page_span(cfg_.page_bytes, r.seg->size(), page);
+  r.seg->sync(off, len, /*blocking=*/true);
+  r.noted[page] = 0;
+  count_writeback_locked(r, len, 1, task);
 }
 
 void PageCache::evict_down_to_budget_locked(int task) {
@@ -297,36 +295,11 @@ void PageCache::note_write(int rid, std::size_t offset, std::size_t len) {
 std::size_t PageCache::writeback(int rid, int task) {
   std::lock_guard<std::mutex> lk(mu_);
   Region* r = region_locked(rid);
-  std::size_t total = 0;
-  // One msync (and one event) per maximal run of dirty pages.
-  for (const auto& [off, len] : spans_locked(*r, nullptr)) {
-    r->seg->sync(off, len, /*blocking=*/true);
-    const std::size_t first = off / cfg_.page_bytes;
-    const std::size_t end =
-        first + (len + cfg_.page_bytes - 1) / cfg_.page_bytes;
-    std::fill(r->noted.begin() + static_cast<std::ptrdiff_t>(first),
-              r->noted.begin() + static_cast<std::ptrdiff_t>(end), 0);
-    ++stats_.writebacks;
-    stats_.writeback_bytes += len;
-    total += len;
-#if HLSMPC_OBS_ENABLED
-    if (obs_ != nullptr) {
-      obs_->count(task, obs::Counter::tier_writeback_bytes, len);
-      obs::Event e;
-      e.kind = obs::EventKind::tier_writeback;
-      e.sid = static_cast<std::int16_t>(r->sid);
-      e.task = task;
-      e.instance = r->instance;
-      e.t0 = e.t1 = obs_->now();
-      e.arg = static_cast<std::int64_t>(len);
-      e.arg2 = static_cast<std::int64_t>(end - first);
-      obs_->record(e);
-    }
-#else
-    (void)task;
-#endif
-  }
-  return total;
+  // Read before the msync: it is what the msync writes.
+  const std::size_t bytes = r->seg->dirty_bytes().value_or(r->seg->size());
+  r->seg->sync(0, r->seg->size(), /*blocking=*/true);
+  count_writeback_locked(*r, bytes, r->npages, task);
+  return bytes;
 }
 
 TierScan PageCache::scan(int rid) const {

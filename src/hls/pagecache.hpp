@@ -14,18 +14,19 @@
 //  - pool pressure: a fixed budget of resident pages across all regions;
 //    exceeding it evicts the least-recently-touched page (written back
 //    first when dirty, then MADV_DONTNEED) — the out-of-core bound.
-//  - coalesced write-back: dirty pages are flushed as maximal contiguous
-//    spans (one msync per span), not per small write.
+//  - write-back: the kernel tracks which file pages were stored to, so
+//    writeback() is one blocking msync over the region that hashes
+//    nothing and reports the kernel's own dirty count (cachestat(2)).
 //  - dirty tracking: per-page CRC-32C baselines. Content hashing is the
 //    only scheme that stays correct when tasks write through warm cached
 //    pointers that never re-enter the runtime; note_write() hint bits
 //    cover the (cheap) runtime-visible writes, the hash catches the rest.
-//    Baselines move only at rebaseline() — the checkpoint layer's epoch
-//    mark — so scan() is exactly "changed since the last checkpoint",
-//    which is what incremental saves snapshot. Every query is one locked
-//    scan that hashes each page at most once; a delta save hands its
-//    scan back to rebaseline(), which installs those CRCs instead of
-//    hashing the region again.
+//    Baselines and hints move only at rebaseline() — the checkpoint
+//    layer's epoch mark — so scan() is exactly "changed since the last
+//    checkpoint", which the kernel's dirty bits cannot tell. Every query
+//    is one locked scan that hashes each page at most once; a delta save
+//    hands its scan back to rebaseline(), which installs those CRCs
+//    instead of hashing the region again.
 //
 // Coherence: pages are published with plain release/acquire on the
 // resident bookkeeping, nothing per-byte. That suffices because of the
@@ -75,18 +76,17 @@ class PageCache {
     std::uint64_t misses = 0;      ///< touched pages faulted in
     std::uint64_t prereads = 0;    ///< bulk read-ahead operations issued
     std::uint64_t preread_bytes = 0;
-    std::uint64_t writebacks = 0;  ///< coalesced spans flushed
-    std::uint64_t writeback_bytes = 0;
+    std::uint64_t writebacks = 0;  ///< msyncs: region flushes + evictions
+    std::uint64_t writeback_bytes = 0;  ///< bytes those msyncs wrote
     std::uint64_t evictions = 0;   ///< pages dropped under pool pressure
     std::uint64_t hashed_pages = 0;  ///< page CRCs computed (scan cost)
   };
 
   /// Register a mapped segment; returns its region id for the calls
   /// below. `sid`/`instance` only label obs events. The segment must
-  /// outlive the registration (detach() or the cache's destruction).
+  /// outlive the cache.
   /// Baselines are captured from the segment's current contents.
   int attach(shm::MappedSegment* seg, int sid = -1, int instance = -1);
-  void detach(int rid);
 
   /// Price the access of [offset, offset+len): resident pages count as
   /// hits; each run of non-resident pages counts misses and issues one
@@ -98,10 +98,10 @@ class PageCache {
   /// covered pages dirty without waiting for the content hash to notice.
   void note_write(int rid, std::size_t offset, std::size_t len);
 
-  /// Flush every dirty page of `rid` to its backing file as coalesced
-  /// msync spans; clears the hint bits (baselines stay — dirtiness
-  /// relative to the last rebaseline() is a checkpoint-epoch property).
-  /// Returns the bytes written back.
+  /// Make `rid` durable: one blocking msync over the region. Returns the
+  /// bytes the kernel held dirty or under write-back just before it (what
+  /// the msync writes), or the region size, an upper bound, on kernels
+  /// without cachestat. Baselines and hint bits do not change.
   std::size_t writeback(int rid, int task = -1);
 
   /// Maximal contiguous (offset, length) byte spans of pages whose
@@ -125,6 +125,9 @@ class PageCache {
   struct Region;
 
   void evict_down_to_budget_locked(int task);
+  /// Stats and obs for one msync that wrote `bytes` over `pages` pages.
+  void count_writeback_locked(const Region& r, std::size_t bytes,
+                              std::size_t pages, int task);
   void writeback_page_locked(Region& r, std::size_t page, int task);
   /// The one dirty-tracking pass over pages [first, end) of `r`: hashes
   /// each page at most once. With `crcs`, every page is hashed and its

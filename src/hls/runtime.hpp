@@ -226,9 +226,10 @@ class Runtime {
   VarHandle rma_backing(const std::string& name, std::size_t bytes,
                         const topo::ScopeSpec& scope = topo::core_scope());
 
-  /// Write every dirty file-tier page back to its backing file
-  /// (coalesced spans; see StorageManager::tier_flush). Quiescent callers
-  /// only, like checkpoint(). Returns the bytes written. The TaskContext
+  /// Write every dirty file-tier page back to its backing file and wait
+  /// until it is durable (see StorageManager::tier_flush). Quiescent
+  /// callers only, like checkpoint(). Returns the bytes written. The
+  /// next incremental checkpoint's delta is unaffected. The TaskContext
   /// overload attributes the tier_writeback_bytes obs counter to the
   /// calling task; the bare form writes back unattributed.
   std::size_t tier_flush() { return storage_.tier_flush(); }

@@ -130,8 +130,8 @@ class StorageManager {
   /// Replace the tier configuration. Must run before the first file-tier
   /// materialization (the page cache is built from it then).
   void set_tier_config(TierConfig cfg);
-  /// Write every dirty page of every file-tier region back to its
-  /// backing file (coalesced spans). Returns the bytes written.
+  /// PageCache::writeback() of every file-tier region: durable on return.
+  /// Returns the bytes written; the dirty-tracking epoch does not move.
   std::size_t tier_flush(int task = -1);
   /// Dirty byte-spans of the (scope, instance, module) region since its
   /// last rebaseline — the incremental checkpoint's manifest — with the

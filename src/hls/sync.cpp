@@ -118,10 +118,6 @@ void SyncManager::set_task_cpu(int task, int cpu) {
   }
 }
 
-int SyncManager::task_cpu(int task) const {
-  return task_cpu_[static_cast<std::size_t>(task)].load();
-}
-
 bool SyncManager::uses_hierarchy(const CanonicalScope& scope) const {
   if (force_flat_) return false;
   return scopes_.cpus_per_instance(sid(scope)) > llc_span_;

@@ -103,7 +103,6 @@ class SyncManager {
   SyncManager& operator=(const SyncManager&) = delete;
 
   void set_task_cpu(int task, int cpu);
-  int task_cpu(int task) const;
 
   void barrier(const CanonicalScope& scope, ult::TaskContext& ctx);
   /// Returns true for exactly one task (the last to arrive), which must

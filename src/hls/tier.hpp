@@ -6,7 +6,7 @@
 // ("MPI Windows on Storage" shows the pattern costs little for
 // out-of-core access): the kernel pages the mapping against an SSD/tmpfs
 // file, a node-local page cache (hls/pagecache.hpp) fronts the file with
-// bulk read-ahead and coalesced write-backs, and a file_backed region
+// bulk read-ahead and one-msync write-backs, and a file_backed region
 // names a stable path, so the data survives process restart and re-opens
 // bit-identical through hls_get_addr.
 //

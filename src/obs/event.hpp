@@ -64,8 +64,8 @@ enum class Counter : int {
   tier_cache_misses,    ///< storage-tier page-cache touches that faulted a
                         ///< page in (each miss triggers a bulk read-ahead)
   tier_preread_bytes,   ///< bytes bulk-read from backing files on misses
-  tier_writeback_bytes, ///< dirty bytes written back to backing files
-                        ///< (coalesced spans, eviction + explicit flush)
+  tier_writeback_bytes, ///< bytes written back to backing files (what the
+                        ///< kernel held dirty at a flush; evicted pages)
   wait_spin_completions,  ///< request waits the bounded spin satisfied
   wait_parks,             ///< request waits that fell through to the
                           ///< mutex/condvar park
@@ -112,8 +112,8 @@ enum class EventKind : std::uint8_t {
   tier_preread, ///< one bulk read-ahead: a page-cache miss pulled a window
                 ///< of pages from the backing file (arg = bytes read,
                 ///< arg2 = pages)
-  tier_writeback,  ///< one coalesced write-back span flushed to the
-                   ///< backing file (arg = bytes, arg2 = pages)
+  tier_writeback,  ///< one msync of a region flush or evicted page
+                   ///< (arg = bytes written, arg2 = pages covered)
 };
 
 const char* to_string(EventKind k);

@@ -201,10 +201,6 @@ void Arena::deallocate(void* p) {
   pthread_mutex_unlock(&mu_);
 }
 
-std::size_t Arena::bytes_free() const {
-  return static_cast<std::size_t>(total_ - used_);
-}
-
 std::size_t Arena::bytes_used() const {
   return static_cast<std::size_t>(used_);
 }

@@ -30,7 +30,6 @@ class Arena {
   void* allocate(std::size_t bytes, std::size_t align = 16);
   void deallocate(void* p);
 
-  std::size_t bytes_free() const;
   std::size_t bytes_used() const;
   /// Number of free-list blocks (coalescing keeps this small).
   int free_blocks() const;

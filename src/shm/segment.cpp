@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
@@ -315,6 +316,20 @@ void MappedSegment::sync(std::size_t offset, std::size_t len,
             std::strerror(errno),
         ErrorCode::corruption);
   }
+}
+
+std::optional<std::size_t> MappedSegment::dirty_bytes() const {
+  // cachestat(2) (Linux 6.5) is newer than the libc and kernel headers
+  // this builds against: its number (the same on every architecture from
+  // 424 on) and structs as in the kernel's uapi <linux/mman.h>.
+  constexpr long kSysCachestat = 451;
+  struct { std::uint64_t off, len; } range{0, size_};
+  struct {
+    std::uint64_t nr_cache, nr_dirty, nr_writeback, nr_evicted, nr_recent;
+  } cs{};
+  if (syscall(kSysCachestat, fd_, &range, &cs, 0) != 0) return std::nullopt;
+  return static_cast<std::size_t>(cs.nr_dirty + cs.nr_writeback) *
+         page_size();
 }
 
 void MappedSegment::drop(std::size_t offset, std::size_t len) const {

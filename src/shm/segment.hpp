@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -137,6 +138,11 @@ class MappedSegment {
   /// (offset is aligned down to a page internally). Blocking uses MS_SYNC;
   /// non-blocking schedules the write-back (MS_ASYNC).
   void sync(std::size_t offset, std::size_t len, bool blocking) const;
+
+  /// Bytes of the file the kernel holds dirty or under write-back, by
+  /// cachestat(2) — what a blocking sync() of the whole file writes.
+  /// nullopt where the kernel has no cachestat (before Linux 6.5).
+  std::optional<std::size_t> dirty_bytes() const;
 
   /// Tell the kernel the range's pages need not stay resident
   /// (madvise MADV_DONTNEED — safe for a shared file mapping: dropped

@@ -4,16 +4,21 @@
 //
 // The load-bearing checks:
 //  - page cache: a cold touch's bulk read-ahead turns a co-resident
-//    rank's later touch into a hit; small dirty ranges coalesce into
-//    maximal write-back spans; pool pressure evicts least-recently-
-//    touched pages without losing data; content hashing catches writes
-//    through warm pointers that never re-entered the runtime;
+//    rank's later touch into a hit; small dirty ranges fold into maximal
+//    scan spans; write-back cleans what the kernel holds dirty in one
+//    msync; pool pressure evicts least-recently-touched pages without
+//    losing data; content hashing catches writes through warm pointers
+//    that never re-entered the runtime;
 //  - MappedSegment: a stable path re-opens bit-identical, a size
 //    mismatch recreates zeros (never leaks stale bytes);
 //  - runtime: a file_backed scope behaves exactly like anonymous storage
 //    through hls_get_addr, is not charged as DRAM, survives a process
 //    restart bit-identically (with hit/miss counters visible in the obs
 //    snapshot), and file_spill scratch is unlinked at destruction;
+//  - durability against the kernel's own dirty count (cachestat(2)):
+//    tier_flush leaves no page of the backing file dirty, whether an
+//    initializer or a write before a checkpoint dirtied it, and a failed
+//    msync surfaces as corruption while a retried flush still cleans;
 //  - incremental checkpoints: a delta save snapshots only the dirty page
 //    spans, chains onto its full base, and restores bit-identically into
 //    a fresh runtime;
@@ -28,19 +33,26 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <linux/magic.h>
 #include <sys/stat.h>
+#include <sys/statfs.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "fault/injector.hpp"
 #include "hls/checkpoint.hpp"
 #include "hls/crc32c.hpp"
 #include "hls/hls.hpp"
@@ -81,6 +93,72 @@ int count_files(const std::string& dir) {
     if (base != "." && base != "..") ++n;
   }
   closedir(d);
+  return n;
+}
+
+/// Path of the one file under `dir` (a runtime with one file-tier region).
+std::string sole_file(const std::string& dir) {
+  EXPECT_EQ(count_files(dir), 1);
+  DIR* d = opendir(dir.c_str());
+  std::string out;
+  while (dirent* e = readdir(d)) {
+    const std::string base = e->d_name;
+    if (base != "." && base != "..") out = dir + "/" + base;
+  }
+  closedir(d);
+  return out;
+}
+
+// cachestat(2) (Linux 6.5) is newer than the headers this builds against;
+// declared here as in the kernel's uapi <linux/mman.h>, so the ground
+// truth below does not go through the runtime's own wrapper.
+constexpr long kSysCachestat = 451;
+struct CachestatRange {
+  std::uint64_t off;
+  std::uint64_t len;
+};
+struct Cachestat {
+  std::uint64_t nr_cache;
+  std::uint64_t nr_dirty;
+  std::uint64_t nr_writeback;
+  std::uint64_t nr_evicted;
+  std::uint64_t nr_recently_evicted;
+};
+
+/// Pages of the file at `path` the kernel holds dirty or under
+/// write-back; nullopt on kernels without cachestat.
+std::optional<std::uint64_t> cachestat_dirty_pages(const std::string& path) {
+  const int fd = open(path.c_str(), O_RDONLY);
+  if (fd < 0) throw std::runtime_error("cannot open " + path);
+  CachestatRange all{0, 0};  // len 0: to the end of the file
+  Cachestat cs{};
+  const long rc = syscall(kSysCachestat, fd, &all, &cs, 0);
+  const int err = errno;
+  close(fd);
+  if (rc != 0 && err == ENOSYS) return std::nullopt;
+  if (rc != 0) {
+    throw std::runtime_error(std::string("cachestat: ") + std::strerror(err));
+  }
+  return cs.nr_dirty + cs.nr_writeback;
+}
+
+bool on_tmpfs(const std::string& path) {
+  struct statfs fs {};
+  return statfs(path.c_str(), &fs) == 0 && fs.f_type == TMPFS_MAGIC;
+}
+
+/// The kernel's dirty count of `path` where it shows what a flush has
+/// left unwritten. nullopt, with the reason in `why`, where it proves
+/// nothing: the kernel has no cachestat, or the file is on tmpfs, whose
+/// pages msync never cleans (point TEST_TMPDIR at a disk file system).
+std::optional<std::uint64_t> kernel_dirty_pages(const std::string& path,
+                                                std::string* why) {
+  if (on_tmpfs(path)) {
+    *why = path + " is on tmpfs, where msync leaves pages dirty";
+    return std::nullopt;
+  }
+  const std::optional<std::uint64_t> n = cachestat_dirty_pages(path);
+  if (!n) *why = "the kernel has no cachestat(2)";
   return n;
 }
 
@@ -244,36 +322,62 @@ TEST(PageCache, ReadAheadServesCoResidentTouch) {
   EXPECT_EQ(s.preread_bytes, 4 * kPage + 2 * kPage);  // window clipped at EOF
 }
 
-TEST(PageCache, CoalescesDirtySpansAndHashesUnhintedWrites) {
+TEST(PageCache, WritebackCleansKernelDirtyPagesAndHashesUnhintedWrites) {
   const std::string dir = fresh_dir("hls_tier_pc_wb");
   shm::MappedSegment seg(dir + "/seg", 8 * kPage);
-  hls::PageCache pc(small_pages(dir));
-  const int rid = pc.attach(&seg);  // baselines: all zeros
+  auto* raw = static_cast<unsigned char*>(seg.base());
+  const bool has_cachestat = cachestat_dirty_pages(seg.path()).has_value();
+  std::string why;
+  const bool cleans = kernel_dirty_pages(seg.path(), &why).has_value();
 
-  // Two adjacent pages plus one distant page: exactly two spans, and the
-  // write-back issues exactly two (coalesced) msyncs covering three pages.
-  pc.note_write(rid, 0, 2 * kPage);
-  pc.note_write(rid, 5 * kPage, 100);
-  const auto spans = pc.scan(rid).spans;
+  // Two adjacent pages plus one distant page, written through the raw
+  // mapping: one msync over the region writes back what the kernel holds
+  // dirty, at least those three pages (large folios may round it up).
+  // The kernel's own flusher may write a page back before writeback()
+  // counts it, so a short count is retried with a fresh cache.
+  std::optional<hls::PageCache> pc;
+  int rid = -1;
+  std::size_t written = 0;
+  int tries = 0;
+  do {
+    std::memset(raw, 0, 2 * kPage);
+    raw[5 * kPage + 99] = 0;
+    pc.emplace(small_pages(dir));
+    rid = pc->attach(&seg);  // baselines: all zeros
+    std::memset(raw, 0x5A, 2 * kPage);
+    raw[5 * kPage + 99] = 0x5A;
+    written = pc->writeback(rid);
+  } while (cleans && written < 3 * kPage && ++tries < 3);
+  const hls::PageCache::Stats s = pc->stats();
+  EXPECT_EQ(s.writebacks, 1u);  // one msync over the region
+  EXPECT_EQ(s.writeback_bytes, written);
+  if (cleans) {
+    EXPECT_GE(written, 3 * kPage);
+    EXPECT_EQ(kernel_dirty_pages(seg.path(), &why), 0u);
+    EXPECT_EQ(pc->writeback(rid), 0u);  // nothing left to write
+  } else if (!has_cachestat) {
+    EXPECT_EQ(written, seg.size());  // the synced range: an upper bound
+  } else {
+    std::printf("kernel dirty count not checked: %s\n", why.c_str());
+  }
+  // Durability is not a checkpoint epoch: after the flush the scan still
+  // folds the three pages into exactly two spans, until rebaseline().
+  const auto spans = pc->scan(rid).spans;
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0], std::make_pair(std::size_t{0}, 2 * kPage));
   EXPECT_EQ(spans[1], std::make_pair(5 * kPage, kPage));
-  EXPECT_EQ(pc.writeback(rid), 3 * kPage);
-  const hls::PageCache::Stats s = pc.stats();
-  EXPECT_EQ(s.writebacks, 2u);
-  EXPECT_EQ(s.writeback_bytes, 3 * kPage);
-  EXPECT_TRUE(pc.scan(rid).spans.empty());  // hints cleared, content clean
+  pc->rebaseline(rid);
 
   // A write through the raw mapping (the warm get_addr path never
   // re-enters the runtime, so no hint): the content hash must catch it.
   static_cast<unsigned char*>(seg.base())[3 * kPage + 7] = 0xAB;
-  const auto hashed = pc.scan(rid).spans;
+  const auto hashed = pc->scan(rid).spans;
   ASSERT_EQ(hashed.size(), 1u);
   EXPECT_EQ(hashed[0], std::make_pair(3 * kPage, kPage));
 
   // rebaseline (the checkpoint epoch mark) declares current contents clean.
-  pc.rebaseline(rid);
-  EXPECT_TRUE(pc.scan(rid).spans.empty());
+  pc->rebaseline(rid);
+  EXPECT_TRUE(pc->scan(rid).spans.empty());
 }
 
 TEST(PageCache, EvictsUnderPoolPressureWithoutDataLoss) {
@@ -521,6 +625,93 @@ TEST(TierRuntime, SpillFilesAreRemovedAtDestruction) {
   EXPECT_EQ(count_files(dir), 0);
 }
 
+// ---- durability against the kernel's dirty count ----------------------
+
+namespace {
+
+/// A runtime whose one file-tier region is an 8 MiB node-scope array
+/// filled by an initializer.
+struct InitedRt {
+  static constexpr std::size_t kWords = 2048 * kPage / sizeof(std::uint64_t);
+  hls::Runtime rt;
+  hls::VarHandle h;
+  explicit InitedRt(const std::string& tier_dir)
+      : rt(topo::Machine::nehalem_ex(2), 1, [&] {
+          hls::Runtime::Options o;
+          o.tier = small_pages(tier_dir);
+          o.tier.pool_pages = 2048;  // no eviction: only the flush writes
+          return o;
+        }()) {
+    hls::ModuleBuilder mb(rt.registry(), "inited");
+    h = hls::add_array<std::uint64_t>(mb, "state", kWords, topo::node_scope(),
+                                      [](std::uint64_t* p, std::size_t n) {
+                                        for (std::size_t i = 0; i < n; ++i) {
+                                          p[i] = i * 0x9E3779B97F4A7C15ull + 1;
+                                        }
+                                      })
+            .handle();
+    mb.commit();
+    rt.storage().set_module_tier(h.scope, h.module, hls::Tier::file_backed);
+  }
+  std::uint64_t* state() {
+    return static_cast<std::uint64_t*>(rt.storage().get_addr(h, /*cpu=*/0));
+  }
+};
+
+}  // namespace
+
+TEST(TierRuntime, FlushLeavesNothingDirtyInThePageCache) {
+  const std::string tier_dir = fresh_dir("hls_tier_durable");
+  InitedRt t(tier_dir);
+  std::uint64_t* state = t.state();
+  const std::string file = sole_file(tier_dir);
+  std::string why;
+  if (!kernel_dirty_pages(file, &why)) GTEST_SKIP() << why;
+
+  // The initializer ran before the region's checkpoint baselines were
+  // taken, so no content hash sees its pages as changed; the kernel does.
+  // (Only the count after a flush is asserted: the kernel's own flusher
+  // may clean pages at any time, but nothing dirties them behind us.)
+  t.rt.tier_flush();
+  EXPECT_EQ(kernel_dirty_pages(file, &why), 0u);
+
+  // A page written, then checkpointed: the save moves the dirty-tracking
+  // epoch, which must not hide the page from the next flush.
+  hls::CheckpointStore store({fresh_dir("hls_tier_durable_ckpt")});
+  t.rt.checkpoint(store, topo::node_scope());
+  state[3 * kPage / sizeof(std::uint64_t)] ^= 1;
+  t.rt.checkpoint_incremental(store, topo::node_scope());
+  t.rt.tier_flush();
+  EXPECT_EQ(kernel_dirty_pages(file, &why), 0u);
+}
+
+TEST(TierRuntime, FailedMsyncSurfacesAsCorruptionAndARetryFlushes) {
+  const std::string tier_dir = fresh_dir("hls_tier_msync_fault");
+  InitedRt t(tier_dir);
+  t.state()[0] ^= 1;
+  hlsmpc::fault::FaultInjector inj;
+  hlsmpc::fault::ScopedFaultInjection installed(inj);
+  inj.arm("shm:msync");
+  try {
+    t.rt.tier_flush();
+    ADD_FAILURE() << "tier_flush returned although its msync failed";
+  } catch (const shm::ShmError& e) {
+    EXPECT_EQ(e.code(), hlsmpc::ErrorCode::corruption) << e.what();
+  }
+  EXPECT_EQ(inj.fired("shm:msync"), 1u);
+  inj.disarm("shm:msync");
+
+  // The failed flush released the cache lock (a held one would hang here,
+  // caught by the ctest timeout) and left the pages dirty for a retry.
+  t.rt.tier_flush();
+  std::string why;
+  if (const auto left = kernel_dirty_pages(sole_file(tier_dir), &why)) {
+    EXPECT_EQ(*left, 0u);
+  } else {
+    std::printf("kernel dirty count not checked: %s\n", why.c_str());
+  }
+}
+
 // ---- incremental checkpoints over dirty page tracking ------------------
 
 TEST(TierRuntime, IncrementalCheckpointSnapshotsOnlyDirtyPages) {
@@ -765,7 +956,7 @@ TEST(TierRuntime, DeltaSpansMatchMemcmpGroundTruthOverRandomRounds) {
                                          page * kPage, flipped.data(),
                                          flipped.size());
     }
-    if (round % 2 == 1) t.rt.tier_flush();  // clears hints, not epochs
+    if (round % 2 == 1) t.rt.tier_flush();  // moves neither hints nor epochs
 
     const Diff want = diff_pages(live, prev);
     const hls::CheckpointStore::Report rep =
