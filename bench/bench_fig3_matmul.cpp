@@ -14,9 +14,9 @@
 //   "benchmarks" array with one entry per (variant, mode, N), metric in
 //   "perf", higher is better) so bench/compare.py can diff runs. The
 //   N=32 entries additionally carry a "counters" object with the obs
-//   totals of a *real* runtime execution of that configuration (empty
-//   when HLSMPC_OBS=OFF) — deterministic episode counts compare.py
-//   diffs alongside the perf metric.
+//   totals of a *real* runtime execution of that configuration —
+//   deterministic episode counts compare.py diffs alongside the perf
+//   metric.
 //   --trace FILE runs the update/hls_numa configuration on the runtime
 //   and writes its event stream as a Chrome trace_event JSON, loadable
 //   in Perfetto (https://ui.perfetto.dev).
@@ -54,15 +54,13 @@ const char* mode_name(Mode m) {
 constexpr int kObsN = 32;
 
 /// Execute `cfg` for real on an mpc::Node and return the node-wide obs
-/// counter totals as JSON object text ("{}" when the observability layer
-/// is compiled out). When `trace_path` is non-empty, also drain the event
-/// stream into a Chrome trace_event file there.
+/// counter totals as JSON object text. When `trace_path` is non-empty,
+/// also drain the event stream into a Chrome trace_event file there.
 std::string run_real_counters(const topo::Machine& machine, Config cfg,
                               Mode mode, const std::string& trace_path) {
   mpc::Node node(machine, {});
   apps::matmul::run_on_node(node, cfg, mode);
   obs::Recorder* rec = node.obs();
-  if (rec == nullptr) return "{}";
   const obs::Snapshot snap = rec->snapshot();
   std::string out = "{";
   for (int c = 0; c < obs::kNumCounters; ++c) {

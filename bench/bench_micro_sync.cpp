@@ -39,21 +39,18 @@ struct SyncFixture {
 
 /// Diffs a set of obs counters for the calling task around the timed
 /// loop and reports the deltas as google-benchmark user counters (summed
-/// over threads in the report). No-op when the observability layer is
-/// compiled out (rt.obs() == nullptr), so the baseline JSON — recorded
-/// before these columns existed — still compares cleanly: compare.py
-/// only diffs counters present in both runs.
+/// over threads in the report). Baselines recorded before these columns
+/// existed still compare cleanly: compare.py only diffs counters present
+/// in both runs.
 class ObsProbe {
  public:
   ObsProbe(hls::Runtime& rt, int task,
            std::initializer_list<obs::Counter> ctrs)
       : rec_(rt.obs()), task_(task), ctrs_(ctrs) {
-    if (rec_ == nullptr) return;
     for (obs::Counter c : ctrs_) start_.push_back(rec_->counter(task_, c));
   }
 
   void report(benchmark::State& state) const {
-    if (rec_ == nullptr) return;
     for (std::size_t i = 0; i < ctrs_.size(); ++i) {
       state.counters[obs::to_string(ctrs_[i])] = benchmark::Counter(
           static_cast<double>(rec_->counter(task_, ctrs_[i]) - start_[i]));

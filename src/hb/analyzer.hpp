@@ -48,10 +48,6 @@ class Analyzer {
 
   AnalysisResult analyze() const;
 
-  const std::vector<std::vector<std::uint32_t>>& clocks() const {
-    return vc_;
-  }
-
  private:
   void compute_clocks();
 

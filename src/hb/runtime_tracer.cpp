@@ -34,10 +34,6 @@ SyncWave::Shape shape_of(const obs::Event& e) {
 RuntimeTracer::RuntimeTracer(int ntasks)
     : ntasks_(ntasks), per_task_(static_cast<std::size_t>(ntasks)) {
   if (ntasks < 1) throw hls::HlsError("RuntimeTracer: need >= 1 task");
-#if !HLSMPC_OBS_ENABLED
-  throw hls::HlsError(
-      "RuntimeTracer: HLSMPC_OBS=OFF build, no sync event reaches it");
-#endif
 }
 
 void RuntimeTracer::push(int task, Recorded r) {

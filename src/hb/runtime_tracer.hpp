@@ -34,8 +34,6 @@ namespace hlsmpc::hb {
 
 class RuntimeTracer final : public obs::Sink {
  public:
-  /// Throws HlsError in a build without the observability layer
-  /// (HLSMPC_OBS=OFF): no synchronization would ever reach the tracer.
   explicit RuntimeTracer(int ntasks);
 
   // Application-side instrumentation.

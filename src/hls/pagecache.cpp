@@ -41,15 +41,8 @@ std::uint32_t page_crc(const shm::MappedSegment& seg, std::size_t page_bytes,
 }  // namespace
 
 PageCache::PageCache(TierConfig cfg, obs::Recorder* obs)
-    : cfg_(std::move(cfg))
-#if HLSMPC_OBS_ENABLED
-      ,
-      obs_(obs)
-#endif
-{
-#if !HLSMPC_OBS_ENABLED
-  (void)obs;
-#endif
+    : cfg_(std::move(cfg)),
+      obs_(obs) {
   if (cfg_.page_bytes == 0 ||
       (cfg_.page_bytes & (cfg_.page_bytes - 1)) != 0) {
     throw HlsError("PageCache: page_bytes must be a power of two");
@@ -146,7 +139,6 @@ void PageCache::count_writeback_locked(const Region& r, std::size_t bytes,
                                        std::size_t pages, int task) {
   ++stats_.writebacks;
   stats_.writeback_bytes += bytes;
-#if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) {
     obs_->count(task, obs::Counter::tier_writeback_bytes, bytes);
     obs::Event e;
@@ -159,11 +151,6 @@ void PageCache::count_writeback_locked(const Region& r, std::size_t bytes,
     e.arg2 = static_cast<std::int64_t>(pages);
     obs_->record(e);
   }
-#else
-  (void)r;
-  (void)pages;
-  (void)task;
-#endif
 }
 
 void PageCache::writeback_page_locked(Region& r, std::size_t page, int task) {
@@ -218,9 +205,7 @@ void PageCache::touch(int rid, std::size_t offset, std::size_t len,
     if (r->resident[p] != 0) {
       ++stats_.hits;
       r->stamp[p] = ++tick_;
-#if HLSMPC_OBS_ENABLED
       if (obs_ != nullptr) obs_->count(task, obs::Counter::tier_cache_hits);
-#endif
       continue;
     }
     // Miss: bulk-read a window starting here. The pread populates the
@@ -261,7 +246,6 @@ void PageCache::touch(int rid, std::size_t offset, std::size_t len,
     stats_.misses += missed;
     ++stats_.prereads;
     stats_.preread_bytes += got;  // not wlen: an error or EOF stops short
-#if HLSMPC_OBS_ENABLED
     if (obs_ != nullptr) {
       obs_->count(task, obs::Counter::tier_cache_misses, missed);
       obs_->count(task, obs::Counter::tier_preread_bytes, got);
@@ -275,7 +259,6 @@ void PageCache::touch(int rid, std::size_t offset, std::size_t len,
       e.arg2 = static_cast<std::int64_t>(wpages);
       obs_->record(e);
     }
-#endif
     evict_down_to_budget_locked(task);
     p += wpages - 1;  // loop's ++p steps past the window
   }

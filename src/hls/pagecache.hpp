@@ -61,7 +61,7 @@ namespace hlsmpc::hls {
 
 class PageCache {
  public:
-  /// `obs`, when given (and observability is compiled in), receives
+  /// `obs`, when given, receives
   /// tier_cache_hits/misses/preread_bytes/writeback_bytes counters and
   /// tier_preread/tier_writeback events.
   explicit PageCache(TierConfig cfg, obs::Recorder* obs = nullptr);
@@ -119,7 +119,6 @@ class PageCache {
   void rebaseline(int rid, const TierScan* published = nullptr);
 
   Stats stats() const;
-  const TierConfig& config() const { return cfg_; }
 
  private:
   struct Region;
@@ -143,9 +142,7 @@ class PageCache {
   Region* region_locked(int rid) const;
 
   TierConfig cfg_;
-#if HLSMPC_OBS_ENABLED
   obs::Recorder* obs_ = nullptr;
-#endif
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Region>> regions_;
   std::size_t resident_pages_ = 0;

@@ -54,7 +54,6 @@ Runtime::Runtime(const topo::Machine& machine, int ntasks, Options opts)
                          : nullptr),
       tracker_(opts.tracker != nullptr ? opts.tracker : owned_tracker_.get()),
       reg_(sm_),
-#if HLSMPC_OBS_ENABLED
       owned_obs_(opts.obs == nullptr
                      ? std::make_unique<obs::Recorder>(obs::RecorderOptions{
                            .ntasks = std::max(ntasks, 1),
@@ -64,17 +63,12 @@ Runtime::Runtime(const topo::Machine& machine, int ntasks, Options opts)
       obs_(opts.obs != nullptr ? opts.obs : owned_obs_.get()),
       storage_(reg_, *tracker_, obs_),
       sync_(sm_, ntasks, obs_),
-#else
-      storage_(reg_, *tracker_),
-      sync_(sm_, ntasks),
-#endif
       ntasks_(ntasks),
       num_scopes_(reg_.scopes().num_scopes()),
       caches_(static_cast<std::size_t>(std::max(ntasks, 1))),
       ncaches_(static_cast<int>(caches_.size())) {
   storage_.set_tier_config(opts.tier);
   if (opts.watchdog_ms != 0) sync_.set_watchdog_ms(opts.watchdog_ms);
-#if HLSMPC_OBS_ENABLED
   if (opts.obs_sink != nullptr) obs_->chain(opts.obs_sink);
   for (std::size_t t = 0; t < caches_.size(); ++t) {
     if (std::atomic<std::uint64_t>* cell = obs_->counter_cell(
@@ -82,9 +76,6 @@ Runtime::Runtime(const topo::Machine& machine, int ntasks, Options opts)
       caches_[t].warm_hits = cell;
     }
   }
-#else
-  (void)opts;
-#endif
 }
 
 void Runtime::invalidate_cache(int task) {
@@ -135,9 +126,7 @@ void* Runtime::get_addr_cold(const VarHandle& h, ult::TaskContext& ctx,
     if (idx >= cache.entries.size()) cache.entries.resize(idx + 1);
     cache.entries[idx] = CacheEntry{r.base, r.size};
   }
-#if HLSMPC_OBS_ENABLED
   obs_->count(task, obs::Counter::get_addr_cold);
-#endif
   return r.base + h.offset;
 }
 
@@ -161,9 +150,7 @@ std::uint64_t Runtime::checkpoint(CheckpointStore& store,
                                   const topo::ScopeSpec& scope) {
   const CanonicalScope c = canonicalize(sm_, scope);
   const CheckpointStore::Report rep = store.save(storage_, reg_, c);
-#if HLSMPC_OBS_ENABLED
   obs_->count(0, obs::Counter::ckpt_bytes, rep.payload_bytes);
-#endif
   return rep.version;
 }
 
@@ -171,9 +158,7 @@ std::uint64_t Runtime::checkpoint_incremental(CheckpointStore& store,
                                               const topo::ScopeSpec& scope) {
   const CanonicalScope c = canonicalize(sm_, scope);
   const CheckpointStore::Report rep = store.save_incremental(storage_, reg_, c);
-#if HLSMPC_OBS_ENABLED
   obs_->count(0, obs::Counter::ckpt_bytes, rep.payload_bytes);
-#endif
   return rep.version;
 }
 
@@ -181,9 +166,7 @@ std::uint64_t Runtime::restore(CheckpointStore& store,
                                const topo::ScopeSpec& scope) {
   const CanonicalScope c = canonicalize(sm_, scope);
   const CheckpointStore::Report rep = store.restore(storage_, reg_, c);
-#if HLSMPC_OBS_ENABLED
   obs_->count(0, obs::Counter::ckpt_bytes, rep.payload_bytes);
-#endif
   return rep.version;
 }
 
@@ -245,7 +228,6 @@ void Runtime::migrate(ult::TaskContext& ctx, int new_cpu) {
     throw HlsError("migrate: bad cpu");
   }
   ctx.sync_point("migrate:enter");
-#if HLSMPC_OBS_ENABLED
   const std::uint64_t mig_t0 = obs_->now();
   auto obs_migration = [&](bool ok) {
     obs_->count(ctx.task_id(), ok ? obs::Counter::migrations_ok
@@ -260,11 +242,8 @@ void Runtime::migrate(ult::TaskContext& ctx, int new_cpu) {
     e.arg = new_cpu;
     obs_->record(e);
   };
-#endif
   auto reject = [&](const std::string& why) {
-#if HLSMPC_OBS_ENABLED
     obs_migration(/*ok=*/false);
-#endif
     sync_.report_migration(ctx, new_cpu, /*ok=*/false);
     // Rejection is not an error in the runtime's state: the task keeps
     // running where it is and may retry after the next episode.
@@ -310,9 +289,7 @@ void Runtime::migrate(ult::TaskContext& ctx, int new_cpu) {
   // instance pointer may now be wrong. Drop them all (the next get_addr
   // refills for the new cpu).
   invalidate_cache(ctx.task_id());
-#if HLSMPC_OBS_ENABLED
   obs_migration(/*ok=*/true);
-#endif
   sync_.report_migration(ctx, new_cpu, /*ok=*/true);
 }
 

@@ -71,8 +71,8 @@ class Runtime {
   /// (mpc::Node does), or leave it null to let the runtime own one.
   struct Options {
     memtrack::Tracker* tracker = nullptr;
-    /// Observability recorder. Null = the runtime owns a private one
-    /// (when HLSMPC_OBS is compiled in). Must be sized for >= ntasks.
+    /// Observability recorder. Null = the runtime owns a private one.
+    /// Must be sized for >= ntasks.
     obs::Recorder* obs = nullptr;
     /// Extra sink chained onto the event stream (correctness tracers,
     /// exporters). Must outlive the runtime's tasks.
@@ -95,7 +95,7 @@ class Runtime {
 
   /// `ntasks` MPI tasks will use this runtime.
   Runtime(const topo::Machine& machine, int ntasks, Options opts);
-  /// Default options (owned tracker, owned recorder when compiled in).
+  /// Default options (owned tracker, owned recorder).
   Runtime(const topo::Machine& machine, int ntasks);
   /// Legacy form; forwards to the Options constructor.
   Runtime(const topo::Machine& machine, int ntasks,
@@ -111,13 +111,9 @@ class Runtime {
   SyncManager& sync() { return sync_; }
   int ntasks() const { return ntasks_; }
 
-  /// The runtime's observability recorder; nullptr when the layer was
-  /// compiled out (HLSMPC_OBS=OFF).
-#if HLSMPC_OBS_ENABLED
+  /// The runtime's observability recorder: Options::obs, or the one it
+  /// owns. Never null.
   obs::Recorder* obs() const { return obs_; }
-#else
-  obs::Recorder* obs() const { return nullptr; }
-#endif
 
   /// Must be called by each task before any other HLS operation
   /// (TaskView's constructor does it): records the task's pinning.
@@ -157,11 +153,9 @@ class Runtime {
           // Formed before the bump: the counter store may alias anything,
           // so nothing read above has to be reloaded after it.
           std::byte* const addr = e.base + h.offset;
-#if HLSMPC_OBS_ENABLED
           std::atomic<std::uint64_t>& n = *c.warm_hits;
           n.store(n.load(std::memory_order_relaxed) + 1,
                   std::memory_order_relaxed);
-#endif
           return addr;
         }
       }
@@ -283,7 +277,6 @@ class Runtime {
   struct alignas(64) TaskCache {
     int cpu = -1;
     std::vector<CacheEntry> entries;
-#if HLSMPC_OBS_ENABLED
     /// The task's get_addr_warm counter cell, resolved once at
     /// construction: the warm path bumps it with one relaxed
     /// load/add/store instead of going through Recorder::count()'s
@@ -293,7 +286,6 @@ class Runtime {
     /// null test.
     std::atomic<std::uint64_t>* warm_hits = &unrecorded;
     std::atomic<std::uint64_t> unrecorded{0};
-#endif
   };
 
   void invalidate_cache(int task);
@@ -314,10 +306,8 @@ class Runtime {
   std::unique_ptr<memtrack::Tracker> owned_tracker_;
   memtrack::Tracker* tracker_;
   Registry reg_;
-#if HLSMPC_OBS_ENABLED
   std::unique_ptr<obs::Recorder> owned_obs_;
   obs::Recorder* obs_;
-#endif
   StorageManager storage_;
   SyncManager sync_;
   int ntasks_;

@@ -19,15 +19,8 @@ namespace hlsmpc::hls {
 StorageManager::StorageManager(const Registry& reg, memtrack::Tracker& tracker,
                                obs::Recorder* obs)
     : reg_(&reg),
-      tracker_(&tracker)
-#if HLSMPC_OBS_ENABLED
-      ,
-      obs_(obs)
-#endif
-{
-#if !HLSMPC_OBS_ENABLED
-  (void)obs;
-#endif
+      tracker_(&tracker),
+      obs_(obs) {
   const topo::DenseScopeTable& t = reg.scopes();
   instances_.resize(static_cast<std::size_t>(t.num_scopes()));
   for (int sid = 0; sid < t.num_scopes(); ++sid) {
@@ -140,11 +133,7 @@ StorageManager::Resolved StorageManager::materialize(ModuleRegion& region,
                  std::to_string(module);
         }
         if (cache_ == nullptr) {
-#if HLSMPC_OBS_ENABLED
           cache_ = std::make_unique<PageCache>(tier_cfg_, obs_);
-#else
-          cache_ = std::make_unique<PageCache>(tier_cfg_, nullptr);
-#endif
         }
       }
       try {
@@ -163,7 +152,6 @@ StorageManager::Resolved StorageManager::materialize(ModuleRegion& region,
       }
       region.tier = tier;
       region.cache_rid = cache_->attach(region.file.get(), sid, instance);
-#if HLSMPC_OBS_ENABLED
       if (obs_ != nullptr) {
         const int task = ctx != nullptr ? ctx->task_id() : -1;
         obs_->count(task, obs::Counter::tier_spills);
@@ -177,7 +165,6 @@ StorageManager::Resolved StorageManager::materialize(ModuleRegion& region,
         e.arg2 = reopened ? 1 : 0;
         obs_->record(e);
       }
-#endif
     } else {
       region.mem =
           memtrack::Buffer(*tracker_, memtrack::Category::hls_shared, bytes);
@@ -210,13 +197,10 @@ StorageManager::Resolved StorageManager::resolve_at(
   if (out_region != nullptr) *out_region = &region;
   std::byte* base = region.base.load(std::memory_order_acquire);
   if (base != nullptr) return Resolved{base, region.bytes};
-#if HLSMPC_OBS_ENABLED
   const std::uint64_t obs_t0 = obs_ != nullptr ? obs_->now() : 0;
-#endif
   bool did_init = false;
   const Resolved r =
       materialize(region, scope, module, sid, inst, ctx, &did_init);
-#if HLSMPC_OBS_ENABLED
   // Only the task that actually initialized the region counts a first
   // touch; racers that waited on init_mu resolved, not materialized.
   if (did_init && obs_ != nullptr) {
@@ -234,7 +218,6 @@ StorageManager::Resolved StorageManager::resolve_at(
     e.arg = static_cast<std::int64_t>(r.size);
     obs_->record(e);
   }
-#endif
   return r;
 }
 

@@ -44,9 +44,9 @@ class PageCache;
 
 class StorageManager {
  public:
-  /// `obs`, when given (and the observability layer is compiled in),
-  /// receives a first_touch counter/event plus per-scope-level byte
-  /// accounting for every region this manager materializes.
+  /// `obs`, when given, receives a first_touch counter/event plus
+  /// per-scope-level byte accounting for every region this manager
+  /// materializes.
   StorageManager(const Registry& reg, memtrack::Tracker& tracker,
                  obs::Recorder* obs = nullptr);
   StorageManager(const StorageManager&) = delete;
@@ -195,9 +195,7 @@ class StorageManager {
 
   const Registry* reg_;
   memtrack::Tracker* tracker_;
-#if HLSMPC_OBS_ENABLED
   obs::Recorder* obs_ = nullptr;
-#endif
   // [sid][instance]; fully sized at construction from the frozen table.
   std::vector<std::vector<std::unique_ptr<InstanceStorage>>> instances_;
   mutable std::mutex tier_mu_;  // tier policy + config + spill list

@@ -51,10 +51,8 @@ SyncManager::SyncManager(const topo::ScopeMap& sm, int ntasks,
                          obs::Recorder* obs)
     : sm_(&sm),
       scopes_(sm.machine()),
-#if HLSMPC_OBS_ENABLED
       obs_(obs),
       single_t0_(static_cast<std::size_t>(std::max(ntasks, 1))),
-#endif
       task_cpu_(static_cast<std::size_t>(std::max(ntasks, 1))),
       single_depth_(static_cast<std::size_t>(std::max(ntasks, 1))),
       task_counts_(static_cast<std::size_t>(std::max(ntasks, 1)),
@@ -65,9 +63,6 @@ SyncManager::SyncManager(const topo::ScopeMap& sm, int ntasks,
                               static_cast<std::size_t>(scopes_.num_scopes()))),
       watch_(static_cast<std::size_t>(std::max(ntasks, 1))) {
   if (ntasks < 1) throw HlsError("SyncManager: need at least one task");
-#if !HLSMPC_OBS_ENABLED
-  (void)obs;
-#endif
   // Default MPC pinning (task i -> cpu i, wrapping) is established up
   // front: barrier arrival counts must be stable before the first task
   // reaches a synchronization point, not trickle in as tasks start.
@@ -269,7 +264,6 @@ void SyncManager::watchdog_fire(const CanonicalScope& scope, int inst,
                       " of sid " + std::to_string((where >> 8) & 0xffffff) +
                       " instance " + std::to_string(where >> 32);
     }
-#if HLSMPC_OBS_ENABLED
     // Counter snapshot for the missing task: how much it synchronized at
     // all (a task with zero entries never reached the directive; one with
     // many is stuck elsewhere or livelocked).
@@ -281,7 +275,6 @@ void SyncManager::watchdog_fire(const CanonicalScope& scope, int inst,
           std::to_string(obs_->counter(t, obs::Counter::single_wins) +
                          obs_->counter(t, obs::Counter::single_losses));
     }
-#endif
     missing_list += ")";
   }
 
@@ -293,7 +286,6 @@ void SyncManager::watchdog_fire(const CanonicalScope& scope, int inst,
   if (!arrived_list.empty()) msg += " (" + arrived_list + ")";
   if (!missing_list.empty()) msg += "; missing: " + missing_list;
 
-#if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) {
     obs::Event e;
     e.kind = obs::EventKind::watchdog;
@@ -306,7 +298,6 @@ void SyncManager::watchdog_fire(const CanonicalScope& scope, int inst,
     e.arg2 = missing_mask;
     obs_->record(e);
   }
-#endif
   throw HlsError(msg, ErrorCode::deadlock);
 }
 
@@ -360,13 +351,11 @@ void SyncManager::barrier(const CanonicalScope& scope,
                           ult::TaskContext& ctx) {
   int inst = 0;
   InstanceSync& is = instance(scope, ctx.cpu(), &inst);
-#if HLSMPC_OBS_ENABLED
   std::uint64_t obs_t0 = 0;
   if (obs_ != nullptr) {
     obs_->count(ctx.task_id(), obs::Counter::barrier_entries);
     obs_t0 = obs_->now();
   }
-#endif
   emit(SyncEvent::Kind::barrier_enter, scope, inst, &is, ctx);
   ctx.sync_point("barrier:enter");
   if (!uses_hierarchy(scope)) {
@@ -391,7 +380,6 @@ void SyncManager::barrier(const CanonicalScope& scope,
     }
   }
   bump_task(ctx.task_id(), scope);
-#if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) {
     obs::Event e;
     e.kind = obs::EventKind::barrier;
@@ -403,7 +391,6 @@ void SyncManager::barrier(const CanonicalScope& scope,
     e.t1 = obs_->now();
     obs_->record(e);
   }
-#endif
   emit(SyncEvent::Kind::barrier_exit, scope, inst, &is, ctx);
   ctx.sync_point("barrier:exit");
 }
@@ -412,10 +399,8 @@ bool SyncManager::single_enter(const CanonicalScope& scope,
                                ult::TaskContext& ctx) {
   int inst = 0;
   InstanceSync& is = instance(scope, ctx.cpu(), &inst);
-#if HLSMPC_OBS_ENABLED
   std::uint64_t obs_t0 = 0;
   if (obs_ != nullptr) obs_t0 = obs_->now();
-#endif
   emit(SyncEvent::Kind::single_enter, scope, inst, &is, ctx);
   ctx.sync_point("single:enter");
   bool executor = false;
@@ -440,18 +425,15 @@ bool SyncManager::single_enter(const CanonicalScope& scope,
   }
   if (executor) {
     ++single_depth_[static_cast<std::size_t>(ctx.task_id())];
-#if HLSMPC_OBS_ENABLED
     if (obs_ != nullptr) {
       obs_->count(ctx.task_id(), obs::Counter::single_wins);
       // Stashed until single_done closes the single_exec event.
       single_t0_[static_cast<std::size_t>(ctx.task_id())] = obs_t0;
     }
-#endif
     emit(SyncEvent::Kind::single_exec_begin, scope, inst, &is, ctx);
     ctx.sync_point("single:exec");
   } else {
     bump_task(ctx.task_id(), scope);
-#if HLSMPC_OBS_ENABLED
     if (obs_ != nullptr) {
       obs_->count(ctx.task_id(), obs::Counter::single_losses);
       obs::Event e;
@@ -464,7 +446,6 @@ bool SyncManager::single_enter(const CanonicalScope& scope,
       e.t1 = obs_->now();
       obs_->record(e);
     }
-#endif
     emit(SyncEvent::Kind::single_exit, scope, inst, &is, ctx);
     ctx.sync_point("single:exit");
   }
@@ -477,7 +458,6 @@ void SyncManager::single_done(const CanonicalScope& scope,
   InstanceSync& is = instance(scope, ctx.cpu(), &inst);
   is.episodes.fetch_add(1, std::memory_order_relaxed);
   bump_task(ctx.task_id(), scope);
-#if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) {
     obs::Event e;
     e.kind = obs::EventKind::single_exec;
@@ -489,7 +469,6 @@ void SyncManager::single_done(const CanonicalScope& scope,
     e.t1 = obs_->now();
     obs_->record(e);
   }
-#endif
   // Emit before the releases so the executor's exec_end is always logged
   // ahead of the waiters' exits (the checker's episode reconstruction
   // relies on that order).
@@ -527,14 +506,12 @@ bool SyncManager::single_nowait(const CanonicalScope& scope,
       break;
     }
   }
-#if HLSMPC_OBS_ENABLED
   // Counters only on this path: nowait is a ~30ns wait-free operation and
   // a clock read would dominate it (see DESIGN.md §9 overhead budget).
   if (obs_ != nullptr) {
     obs_->count(ctx.task_id(), claimed_site ? obs::Counter::nowait_claims
                                             : obs::Counter::nowait_skips);
   }
-#endif
   emit(claimed_site ? SyncEvent::Kind::nowait_claim
                     : SyncEvent::Kind::nowait_skip,
        scope, inst, &is, ctx);

@@ -94,9 +94,8 @@ class SyncObserver {
 class SyncManager {
  public:
   /// `ntasks` MPI tasks; initial pinning provided via set_task_cpu before
-  /// any synchronization call. `obs`, when given (and when the
-  /// observability layer is compiled in), receives episode counters and
-  /// timed barrier/single/nowait events.
+  /// any synchronization call. `obs`, when given, receives episode
+  /// counters and timed barrier/single/nowait events.
   SyncManager(const topo::ScopeMap& sm, int ntasks,
               obs::Recorder* obs = nullptr);
   SyncManager(const SyncManager&) = delete;
@@ -215,13 +214,11 @@ class SyncManager {
   topo::DenseScopeTable scopes_;
   int llc_span_ = 1;  ///< cpus per last-level-cache instance
   SyncObserver* observer_ = nullptr;
-#if HLSMPC_OBS_ENABLED
   obs::Recorder* obs_ = nullptr;
   /// Per-task stash of the single_enter timestamp, so the executor's
   /// single_done can emit one single_exec event spanning the whole block.
   /// Each slot is written only by its own task.
   std::vector<std::uint64_t> single_t0_;
-#endif
   std::vector<std::atomic<int>> task_cpu_;
   std::vector<std::atomic<int>> single_depth_;
   // Per-task counters indexed [task][sid]; each row written only by its

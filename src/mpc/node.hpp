@@ -16,9 +16,9 @@ namespace hlsmpc::mpc {
 struct NodeOptions {
   mpi::Options mpi;
   /// Observability recorder shared by both runtimes. Null = the HLS
-  /// runtime owns one and the MPI runtime records into it too (when the
-  /// layer is compiled in). Node always wires `mpi.obs` itself; a value
-  /// set there directly is overwritten.
+  /// runtime owns one and the MPI runtime records into it too. Node
+  /// always wires `mpi.obs` itself; a value set there directly is
+  /// overwritten.
   obs::Recorder* obs = nullptr;
   /// Extra sink chained onto the node's event stream.
   obs::Sink* obs_sink = nullptr;
@@ -51,8 +51,7 @@ class Node {
   hls::Runtime& hls_rt() { return hls_; }
   memtrack::Tracker& tracker() { return *tracker_; }
   const topo::Machine& machine() const { return mpi_.machine(); }
-  /// The node-wide recorder (HLS + MPI + scheduler); nullptr when the
-  /// observability layer is compiled out.
+  /// The node-wide recorder (HLS + MPI + scheduler); never null.
   obs::Recorder* obs() const { return hls_.obs(); }
 
  private:

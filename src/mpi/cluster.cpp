@@ -86,9 +86,7 @@ SimCluster::SimCluster(ClusterOptions opts)
         workers = std::min(machine_.num_cpus(), std::max(hw, 1));
       }
       auto fe = std::make_unique<ult::FiberExecutor>(workers);
-#if HLSMPC_OBS_ENABLED
       fe->set_obs(opts_.obs);
-#endif
       executor_ = std::move(fe);
       break;
     }
@@ -166,9 +164,7 @@ ClusterComm::ClusterComm(SimCluster& cluster)
   std::iota(v->live.begin(), v->live.end(), 0);
   publish_view(std::move(v));
   gate_ = std::make_unique<GateSlot[]>(static_cast<std::size_t>(nnodes_));
-#if HLSMPC_OBS_ENABLED
   obs_ = cluster.obs();
-#endif
 }
 
 Comm& ClusterComm::node_comm(int node) const {
@@ -244,11 +240,9 @@ void ClusterComm::send(ult::TaskContext& ctx, const void* buf,
   const int me = rank(ctx);
   Request r = fabric_->isend(ctx, me, dst, dst, buf, bytes, tag, kP2pContext);
   transport_wait(ctx, r, nullptr, obs_);
-#if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) obs_->count(me, obs::Counter::net_sends);
   detail::record_p2p(obs_, obs::EventKind::p2p_send, ctx, dst, kP2pContext,
                      tag);
-#endif
 }
 
 void ClusterComm::recv(ult::TaskContext& ctx, void* buf, std::size_t capacity,
@@ -264,11 +258,9 @@ void ClusterComm::recv(ult::TaskContext& ctx, void* buf, std::size_t capacity,
   Status st;
   transport_wait(ctx, r, &st, obs_);
   if (status != nullptr) *status = st;
-#if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) obs_->count(me, obs::Counter::net_recvs);
   detail::record_p2p(obs_, obs::EventKind::p2p_recv, ctx, st.source,
                      kP2pContext, st.tag);
-#endif
 }
 
 // ---- leader-tier primitives ----
@@ -293,9 +285,7 @@ bool ClusterComm::coll_send(ult::TaskContext& ctx, int g_me, int dst_g,
     fabric_->kill_node(node_of(dst_g));
     return false;
   }
-#if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) obs_->count(g_me, obs::Counter::net_sends);
-#endif
   return true;
 }
 
@@ -312,9 +302,7 @@ bool ClusterComm::coll_recv(ult::TaskContext& ctx, int g_me, int src_g,
     fabric_->kill_node(node_of(src_g));
     return false;
   }
-#if HLSMPC_OBS_ENABLED
   if (obs_ != nullptr) obs_->count(g_me, obs::Counter::net_recvs);
-#endif
   return true;
 }
 
@@ -403,7 +391,8 @@ void ClusterComm::barrier(ult::TaskContext& ctx) {
   const int node = node_of(g);
   const auto view = snapshot_view();
   const int tag = next_coll_tag(g, view->epoch);
-  HLSMPC_OBS_COLL(obs_, barrier, 0, kCollContext, tag, -1);
+  detail::CollScope obs_span(obs_, obs::CollOp::barrier, ctx, 0,
+                             obs::sync_key(kCollContext, tag), -1);
   const int pos = live_pos(*view, node, "cluster barrier: node");
   LocalCtx lctx(ctx, local_of(g));
   Comm& nc = node_comm(node);
@@ -436,7 +425,8 @@ void ClusterComm::bcast(ult::TaskContext& ctx, void* buf, std::size_t bytes,
   const int root_node = node_of(root);
   const auto view = snapshot_view();
   const int tag = next_coll_tag(g, view->epoch);
-  HLSMPC_OBS_COLL(obs_, bcast, bytes, kCollContext, tag, root);
+  detail::CollScope obs_span(obs_, obs::CollOp::bcast, ctx, bytes,
+                             obs::sync_key(kCollContext, tag), root);
   const int pos = live_pos(*view, node, "cluster bcast: node");
   const int root_pos = live_pos(*view, root_node, "cluster bcast: root node");
   LocalCtx lctx(ctx, local_of(g));
@@ -470,7 +460,8 @@ void ClusterComm::reduce(ult::TaskContext& ctx, const void* sendbuf,
   const std::size_t bytes = count * elem_bytes;
   const auto view = snapshot_view();
   const int tag = next_coll_tag(g, view->epoch);
-  HLSMPC_OBS_COLL(obs_, reduce, bytes, kCollContext, tag, root);
+  detail::CollScope obs_span(obs_, obs::CollOp::reduce, ctx, bytes,
+                             obs::sync_key(kCollContext, tag), root);
   const int pos = live_pos(*view, node, "cluster reduce: node");
   live_pos(*view, node_of(root), "cluster reduce: root node");
   LocalCtx lctx(ctx, local_of(g));
@@ -518,7 +509,9 @@ void ClusterComm::allreduce(ult::TaskContext& ctx, const void* sendbuf,
   const int node = node_of(g);
   const auto view = snapshot_view();
   const int tag = next_coll_tag(g, view->epoch);
-  HLSMPC_OBS_COLL(obs_, allreduce, count * elem_bytes, kCollContext, tag, -1);
+  detail::CollScope obs_span(obs_, obs::CollOp::allreduce, ctx,
+                             count * elem_bytes,
+                             obs::sync_key(kCollContext, tag), -1);
   const int pos = live_pos(*view, node, "cluster allreduce: node");
   const int npos = static_cast<int>(view->live.size());
   const int lane = local_of(g);
@@ -585,7 +578,8 @@ void ClusterComm::allgather(ult::TaskContext& ctx, const void* sendbuf,
   const std::size_t node_block = static_cast<std::size_t>(rpn_) * bytes;
   const auto view = snapshot_view();
   const int tag = next_coll_tag(g, view->epoch);
-  HLSMPC_OBS_COLL(obs_, allgather, bytes, kCollContext, tag, -1);
+  detail::CollScope obs_span(obs_, obs::CollOp::allgather, ctx, bytes,
+                             obs::sync_key(kCollContext, tag), -1);
   const int pos = live_pos(*view, node, "cluster allgather: node");
   const int npos = static_cast<int>(view->live.size());
   LocalCtx lctx(ctx, local_of(g));
@@ -680,7 +674,6 @@ ShrinkReport ClusterComm::shrink(ult::TaskContext& ctx) {
       pod.mask = dec.dead_mask;
       pod.epoch = view->epoch + 1;
       pod.attempts = dec.attempts;
-#if HLSMPC_OBS_ENABLED
       if (obs_ != nullptr) {
         obs_->count(g, obs::Counter::recoveries);
         obs::Event e;
@@ -692,7 +685,6 @@ ShrinkReport ClusterComm::shrink(ult::TaskContext& ctx) {
         e.arg2 = dec.attempts;
         obs_->record(e);
       }
-#endif
     } catch (const NodeDeadError&) {
       pod.status = 1;
     } catch (const MpiError&) {

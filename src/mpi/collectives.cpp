@@ -20,9 +20,6 @@
 
 namespace hlsmpc::mpi {
 
-/// The obs span of an in-node collective of this comm (detail::CollScope).
-#define HLSMPC_COMM_COLL(op, bytes, tag, peer) \
-  HLSMPC_OBS_COLL(rt_->obs(), op, bytes, coll_context_, tag, peer)
 /// Key tag of the collectives that draw no sequence (a draw would write the
 /// line all ranks' counters share): a sink pairs the k-th such call of
 /// every member, which MPI's call order makes one call.
@@ -32,10 +29,11 @@ void Comm::barrier(ult::TaskContext& ctx) {
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
-  HLSMPC_COMM_COLL(barrier, 0, tag, -1);
+  detail::CollScope obs_span(rt_->obs(), obs::CollOp::barrier, ctx, 0,
+                             obs::sync_key(coll_context_, tag), -1);
   if (n == 1) return;
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(shm_->barrier_alg());
+    obs_span.set_alg(shm_->barrier_alg());
     shm_->barrier(ctx, me);
     return;
   }
@@ -57,10 +55,12 @@ void Comm::bcast(ult::TaskContext& ctx, void* buf, std::size_t bytes,
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
-  HLSMPC_COMM_COLL(bcast, bytes, tag, global_task(root));
+  detail::CollScope obs_span(rt_->obs(), obs::CollOp::bcast, ctx, bytes,
+                             obs::sync_key(coll_context_, tag),
+                             global_task(root));
   if (n == 1) return;
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
+    obs_span.set_alg(shm_->select(bytes));
     shm_->bcast(ctx, me, buf, bytes, root);
     return;
   }
@@ -94,9 +94,11 @@ void Comm::reduce(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
   const int n = size();
   const int tag = next_coll_tag(me);
   const std::size_t bytes = count * elem_bytes;
-  HLSMPC_COMM_COLL(reduce, bytes, tag, global_task(root));
+  detail::CollScope obs_span(rt_->obs(), obs::CollOp::reduce, ctx, bytes,
+                             obs::sync_key(coll_context_, tag),
+                             global_task(root));
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
+    obs_span.set_alg(shm_->select(bytes));
     shm_->reduce(ctx, me, sendbuf, recvbuf, count, elem_bytes, fn, root);
     return;
   }
@@ -150,9 +152,11 @@ void Comm::reduce(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
 void Comm::allreduce(ult::TaskContext& ctx, const void* sendbuf,
                      void* recvbuf, std::size_t count, std::size_t elem_bytes,
                      const ReduceFn& fn) {
-  HLSMPC_COMM_COLL(allreduce, count * elem_bytes, kUnsequenced, -1);
+  detail::CollScope obs_span(rt_->obs(), obs::CollOp::allreduce, ctx,
+                             count * elem_bytes,
+                             obs::sync_key(coll_context_, kUnsequenced), -1);
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(shm_->select(count * elem_bytes));
+    obs_span.set_alg(shm_->select(count * elem_bytes));
     shm_->allreduce(ctx, rank(ctx), sendbuf, recvbuf, count, elem_bytes, fn);
     return;
   }
@@ -163,7 +167,9 @@ void Comm::allreduce(ult::TaskContext& ctx, const void* sendbuf,
 void Comm::gather(ult::TaskContext& ctx, const void* sendbuf,
                   std::size_t bytes, void* recvbuf, int root) {
   check_rank(root, "gather");
-  HLSMPC_COMM_COLL(gather, bytes, kUnsequenced, global_task(root));
+  detail::CollScope obs_span(rt_->obs(), obs::CollOp::gather, ctx, bytes,
+                             obs::sync_key(coll_context_, kUnsequenced),
+                             global_task(root));
   std::vector<std::size_t> counts(static_cast<std::size_t>(size()), bytes);
   std::vector<std::size_t> displs(static_cast<std::size_t>(size()));
   for (int r = 0; r < size(); ++r) {
@@ -180,7 +186,9 @@ void Comm::gatherv(ult::TaskContext& ctx, const void* sendbuf,
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
-  HLSMPC_COMM_COLL(gatherv, bytes, tag, global_task(root));
+  detail::CollScope obs_span(rt_->obs(), obs::CollOp::gatherv, ctx, bytes,
+                             obs::sync_key(coll_context_, tag),
+                             global_task(root));
   if (counts.size() != static_cast<std::size_t>(n) ||
       displs.size() != static_cast<std::size_t>(n)) {
     throw MpiError("gatherv: counts/displs must have one entry per rank");
@@ -221,7 +229,9 @@ void Comm::scatter(ult::TaskContext& ctx, const void* sendbuf,
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
-  HLSMPC_COMM_COLL(scatter, bytes, tag, global_task(root));
+  detail::CollScope obs_span(rt_->obs(), obs::CollOp::scatter, ctx, bytes,
+                             obs::sync_key(coll_context_, tag),
+                             global_task(root));
   if (me == root) {
     const auto* in = static_cast<const std::byte*>(sendbuf);
     for (int r = 0; r < n; ++r) {
@@ -239,9 +249,10 @@ void Comm::scatter(ult::TaskContext& ctx, const void* sendbuf,
 
 void Comm::allgather(ult::TaskContext& ctx, const void* sendbuf,
                      std::size_t bytes, void* recvbuf) {
-  HLSMPC_COMM_COLL(allgather, bytes, kUnsequenced, -1);
+  detail::CollScope obs_span(rt_->obs(), obs::CollOp::allgather, ctx, bytes,
+                             obs::sync_key(coll_context_, kUnsequenced), -1);
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
+    obs_span.set_alg(shm_->select(bytes));
     shm_->allgather(ctx, rank(ctx), sendbuf, bytes, recvbuf);
     return;
   }
@@ -256,9 +267,11 @@ void Comm::alltoall(ult::TaskContext& ctx, const void* sendbuf,
   const int me = rank(ctx);
   const int n = size();
   const int tag = next_coll_tag(me);
-  HLSMPC_COMM_COLL(alltoall, bytes_per_rank, tag, -1);
+  detail::CollScope obs_span(rt_->obs(), obs::CollOp::alltoall, ctx,
+                             bytes_per_rank, obs::sync_key(coll_context_, tag),
+                             -1);
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(
+    obs_span.set_alg(
         shm_->select(bytes_per_rank * static_cast<std::size_t>(n)));
     shm_->alltoall(ctx, me, sendbuf, bytes_per_rank, recvbuf);
     return;
@@ -293,9 +306,10 @@ void Comm::scan(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
   const int n = size();
   const int tag = next_coll_tag(me);
   const std::size_t bytes = count * elem_bytes;
-  HLSMPC_COMM_COLL(scan, bytes, tag, me);
+  detail::CollScope obs_span(rt_->obs(), obs::CollOp::scan, ctx, bytes,
+                             obs::sync_key(coll_context_, tag), me);
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
+    obs_span.set_alg(shm_->select(bytes));
     shm_->scan(ctx, me, sendbuf, recvbuf, count, elem_bytes, fn);
     return;
   }
@@ -330,9 +344,10 @@ void Comm::exscan(ult::TaskContext& ctx, const void* sendbuf, void* recvbuf,
   const int n = size();
   const int tag = next_coll_tag(me);
   const std::size_t bytes = count * elem_bytes;
-  HLSMPC_COMM_COLL(exscan, bytes, tag, me);
+  detail::CollScope obs_span(rt_->obs(), obs::CollOp::exscan, ctx, bytes,
+                             obs::sync_key(coll_context_, tag), me);
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(shm_->select(bytes));
+    obs_span.set_alg(shm_->select(bytes));
     shm_->exscan(ctx, me, sendbuf, recvbuf, count, elem_bytes, fn);
     return;
   }
@@ -368,10 +383,12 @@ void Comm::reduce_scatter_block(ult::TaskContext& ctx, const void* sendbuf,
                                 std::size_t elem_bytes, const ReduceFn& fn) {
   const int me = rank(ctx);
   const int n = size();
-  HLSMPC_COMM_COLL(reduce_scatter, count * elem_bytes, kUnsequenced, -1);
+  detail::CollScope obs_span(rt_->obs(), obs::CollOp::reduce_scatter, ctx,
+                             count * elem_bytes,
+                             obs::sync_key(coll_context_, kUnsequenced), -1);
   const std::size_t block = count * elem_bytes;
   if (shm_ != nullptr) {
-    HLSMPC_OBS_COLL_ALG(shm_->select(block * static_cast<std::size_t>(n)));
+    obs_span.set_alg(shm_->select(block * static_cast<std::size_t>(n)));
     shm_->reduce_scatter_block(ctx, me, sendbuf, recvbuf, count, elem_bytes,
                                fn);
     return;

@@ -129,8 +129,7 @@ class Comm {
                             std::size_t elem_bytes, const ReduceFn& fn);
 
   /// Shared-memory collective engine serving this comm, or nullptr (size-1
-  /// comm, disabled via CollConfig, or compiled out). Exposed for tests
-  /// and diagnostics.
+  /// comm or disabled via CollConfig). Exposed for tests and diagnostics.
   ShmCollEngine* shm_engine() const { return shm_.get(); }
 
   // ---- communicator management ----

@@ -10,7 +10,6 @@
 
 namespace hlsmpc::mpi::detail {
 
-#if HLSMPC_OBS_ENABLED
 /// Instant p2p event of ctx.task_id() (send initiated / receive
 /// completed) with its peer task and matching key, plus its counter.
 inline void record_p2p(obs::Recorder* obs, obs::EventKind kind,
@@ -68,15 +67,5 @@ class CollScope {
   int unwinding_;
   obs::Event e_;
 };
-/// Open the span of the enclosing collective (`ctx` in scope).
-#define HLSMPC_OBS_COLL(rec, op, bytes, context, tag, peer)                  \
-  ::hlsmpc::mpi::detail::CollScope obs_coll_scope_(                          \
-      rec, obs::CollOp::op, ctx, static_cast<std::int64_t>(bytes),           \
-      obs::sync_key(context, tag), peer)
-#define HLSMPC_OBS_COLL_ALG(alg) obs_coll_scope_.set_alg(alg)
-#else
-#define HLSMPC_OBS_COLL(rec, op, bytes, context, tag, peer) (void)(tag)
-#define HLSMPC_OBS_COLL_ALG(alg) (void)(alg)
-#endif
 
 }  // namespace hlsmpc::mpi::detail

@@ -8,7 +8,7 @@
 //   transport.hpp      the Transport interface every byte crosses
 //   shm_transport.hpp  intra-node mailbox transport (eager + rendezvous)
 //   sim_fabric.hpp     deterministic simulated inter-node fabric
-//   tcp_transport.hpp  stream-socket fabric (self-gated on HLSMPC_TCP)
+//   tcp_transport.hpp  stream-socket fabric for multi-process runs
 //   runtime.hpp        per-node Runtime: ranks, buffers, world Comm
 //   comm.hpp           Comm: p2p + collectives for one node
 //   rma.hpp            one-sided windows over HLS scopes

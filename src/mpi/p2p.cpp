@@ -13,10 +13,8 @@ Request Comm::isend_ctx(ult::TaskContext& ctx, const void* buf,
                         std::size_t bytes, int dst, int tag, int context) {
   check_rank(dst, "send");
   const int me = rank(ctx);
-#if HLSMPC_OBS_ENABLED
   detail::record_p2p(rt_->obs(), obs::EventKind::p2p_send, ctx,
                      global_task(dst), context, tag);
-#endif
   // The message is stamped with the sender's comm-local rank (matching is
   // per communicator via the context id); the endpoint is the
   // destination's node-local task id, which indexes the shm mailboxes.
@@ -50,13 +48,11 @@ void Comm::wait(ult::TaskContext& ctx, Request& req, Status* status) {
                 rt_->obs());
   if (!st->error.empty()) throw MpiError(st->error);
   if (status != nullptr) *status = st->status;
-#if HLSMPC_OBS_ENABLED
   if (st->trace_context >= 0 && st->status.source >= 0) {
     detail::record_p2p(rt_->obs(), obs::EventKind::p2p_recv, ctx,
                        global_task(st->status.source), st->trace_context,
                        st->status.tag);
   }
-#endif
   req.state().reset();
 }
 

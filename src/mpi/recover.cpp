@@ -88,8 +88,6 @@ RecoveryChannel::RecvResult FabricRecoveryChannel::recv(
 // ---------------------------------------------------------------------------
 // TcpRecoveryChannel
 
-#if HLSMPC_TCP_ENABLED
-
 bool TcpRecoveryChannel::send(ult::TaskContext& ctx, int dst_node,
                               const void* buf, std::size_t bytes, int tag) {
   try {
@@ -124,8 +122,6 @@ RecoveryChannel::RecvResult TcpRecoveryChannel::recv(
     return RecvResult::dead;
   }
 }
-
-#endif  // HLSMPC_TCP_ENABLED
 
 // ---------------------------------------------------------------------------
 // shrink_agree

@@ -44,9 +44,7 @@
 #include <vector>
 
 #include "mpi/sim_fabric.hpp"
-#if HLSMPC_TCP_ENABLED
 #include "mpi/tcp_transport.hpp"
-#endif
 
 namespace hlsmpc::mpi::recover {
 
@@ -126,7 +124,6 @@ class FabricRecoveryChannel final : public RecoveryChannel {
   int me_;
 };
 
-#if HLSMPC_TCP_ENABLED
 /// Recovery channel over the socket mesh: endpoints ARE nodes, and the
 /// src labels stamped on recovery frames are node ids (the contract
 /// TcpTransport's sweep rule relies on).
@@ -146,7 +143,6 @@ class TcpRecoveryChannel final : public RecoveryChannel {
  private:
   TcpTransport* tcp_;
 };
-#endif  // HLSMPC_TCP_ENABLED
 
 /// Run the shrink agreement among `members` (ascending node ids, <= 64,
 /// containing `me`). Returns the agreed decision; throws NodeDeadError if

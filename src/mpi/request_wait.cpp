@@ -20,13 +20,7 @@ constexpr auto kSpinBound = std::chrono::microseconds(50);
 constexpr unsigned kProbesPerClockRead = 64;
 
 void count_wait(obs::Recorder* obs, int task, obs::Counter c) {
-#if HLSMPC_OBS_ENABLED
   if (obs != nullptr) obs->count(task, c);
-#else
-  (void)obs;
-  (void)task;
-  (void)c;
-#endif
 }
 
 /// Rethrow a failed completion, copy out its status and release the

@@ -38,12 +38,6 @@ struct RetryPolicy {
   std::chrono::microseconds backoff_cap{2000};
 };
 
-/// True when `code` names a condition a bounded retry may clear.
-inline bool transient_error(hlsmpc::ErrorCode code) {
-  return code == hlsmpc::ErrorCode::transport_exhausted ||
-         code == hlsmpc::ErrorCode::out_of_memory;
-}
-
 /// Jitter seed for one retry burst: splitmix64 over (rank, endpoint,
 /// epoch). Seeding every RetryBackoff with the same constant put all
 /// ranks retrying a shared flapping link through the *identical* jitter

@@ -85,7 +85,6 @@ void Win::emit(hls::SyncEvent::Kind kind, const ult::TaskContext& ctx, int me,
 
 void Win::record_op(const ult::TaskContext& ctx, int me, obs::RmaOp op,
                     std::uint64_t nbytes, std::uint64_t t0) const {
-#if HLSMPC_OBS_ENABLED
   if (opts_.obs == nullptr) return;
   const int task = task_of(ctx, me);
   const obs::Counter ctr = op == obs::RmaOp::put   ? obs::Counter::rma_puts
@@ -103,13 +102,6 @@ void Win::record_op(const ult::TaskContext& ctx, int me, obs::RmaOp op,
   e.arg = static_cast<std::int64_t>(op);
   e.arg2 = static_cast<std::int64_t>(nbytes);
   opts_.obs->record(e);
-#else
-  (void)ctx;
-  (void)me;
-  (void)op;
-  (void)nbytes;
-  (void)t0;
-#endif
 }
 
 void Win::put(ult::TaskContext& ctx, int me, const void* src,
@@ -118,9 +110,7 @@ void Win::put(ult::TaskContext& ctx, int me, const void* src,
   check_range(target, target_offset, nbytes, "Win::put");
   ctx.sync_point("rma:put");
   std::uint64_t t0 = 0;
-#if HLSMPC_OBS_ENABLED
   if (opts_.obs != nullptr) t0 = opts_.obs->now();
-#endif
   // Same-node transfer: the window region is directly addressable, so a
   // put is one copy. memmove, not memcpy — a rank may put a slice of its
   // own exposed region onto itself at an overlapping offset.
@@ -139,9 +129,7 @@ void Win::get(ult::TaskContext& ctx, int me, void* dst, std::size_t nbytes,
   check_range(target, target_offset, nbytes, "Win::get");
   ctx.sync_point("rma:get");
   std::uint64_t t0 = 0;
-#if HLSMPC_OBS_ENABLED
   if (opts_.obs != nullptr) t0 = opts_.obs->now();
-#endif
   std::memmove(dst,
                static_cast<const std::byte*>(
                    regions_[static_cast<std::size_t>(target)].base) +
@@ -162,9 +150,7 @@ void Win::accumulate(ult::TaskContext& ctx, int me, const void* src,
   check_range(target, target_offset, nbytes, "Win::accumulate");
   ctx.sync_point("rma:acc");
   std::uint64_t t0 = 0;
-#if HLSMPC_OBS_ENABLED
   if (opts_.obs != nullptr) t0 = opts_.obs->now();
-#endif
   // ReduceFn left-operand contract (see comm.hpp): the target region is
   // the accumulator and the LEFT operand; `src` folds in from the right.
   fn(static_cast<std::byte*>(
@@ -179,9 +165,7 @@ void Win::accumulate(ult::TaskContext& ctx, int me, const void* src,
 void Win::fence(ult::TaskContext& ctx, int me) {
   check_me(me, "Win::fence");
   ctx.sync_point("rma:fence");
-#if HLSMPC_OBS_ENABLED
   const std::uint64_t t0 = opts_.obs != nullptr ? opts_.obs->now() : 0;
-#endif
   Slot& mine = slots_[static_cast<std::size_t>(me)];
   const std::uint64_t next = mine.epoch.load(std::memory_order_relaxed) + 1;
   emit(hls::SyncEvent::Kind::rma_fence_enter, ctx, me, -1, 0, 0, false, next);
@@ -199,7 +183,6 @@ void Win::fence(ult::TaskContext& ctx, int me) {
     }
   }
   emit(hls::SyncEvent::Kind::rma_fence_exit, ctx, me, -1, 0, 0, false, next);
-#if HLSMPC_OBS_ENABLED
   if (opts_.obs != nullptr) {
     const int task = task_of(ctx, me);
     opts_.obs->count(task, obs::Counter::rma_fences);
@@ -213,7 +196,6 @@ void Win::fence(ult::TaskContext& ctx, int me) {
     e.arg2 = static_cast<std::int64_t>(next);  // arg 0 = fence
     opts_.obs->record(e);
   }
-#endif
 }
 
 void Win::lock(ult::TaskContext& ctx, int me, LockKind kind, int target) {
@@ -230,9 +212,7 @@ void Win::lock(ult::TaskContext& ctx, int me, LockKind kind, int target) {
   ctx.sync_point(kind == LockKind::exclusive ? "rma:lock:excl"
                                              : "rma:lock:shared");
   std::uint64_t t0 = 0;
-#if HLSMPC_OBS_ENABLED
   if (opts_.obs != nullptr) t0 = opts_.obs->now();
-#endif
   std::atomic<std::uint64_t>& word =
       slots_[static_cast<std::size_t>(target)].lockword;
   const int wd = opts_.watchdog_ms;
@@ -271,11 +251,9 @@ void Win::lock(ult::TaskContext& ctx, int me, LockKind kind, int target) {
            static_cast<std::size_t>(target)] = t0;
   emit(hls::SyncEvent::Kind::rma_lock, ctx, me, target, 0, 0,
        kind == LockKind::exclusive, 0);
-#if HLSMPC_OBS_ENABLED
   if (opts_.obs != nullptr) {
     opts_.obs->count(task_of(ctx, me), obs::Counter::rma_locks);
   }
-#endif
 }
 
 void Win::unlock(ult::TaskContext& ctx, int me, int target) {
@@ -305,7 +283,6 @@ void Win::unlock(ult::TaskContext& ctx, int me, int target) {
     word.fetch_sub(1, std::memory_order_release);
   }
   held_[h] = 0;
-#if HLSMPC_OBS_ENABLED
   if (opts_.obs != nullptr) {
     const int task = task_of(ctx, me);
     obs::Event e;
@@ -319,7 +296,6 @@ void Win::unlock(ult::TaskContext& ctx, int me, int target) {
     e.arg2 = target;
     opts_.obs->record(e);
   }
-#endif
 }
 
 std::uint64_t Win::fence_epochs(int rank) const {
@@ -342,7 +318,6 @@ void Win::fence_stuck(const ult::TaskContext& ctx, int me, std::uint64_t need,
     os << " rank " << r << " (at epoch " << have << ")";
     if (r < 64) mask |= std::uint64_t{1} << r;
   }
-#if HLSMPC_OBS_ENABLED
   if (opts_.obs != nullptr) {
     obs::Event e;
     e.kind = obs::EventKind::watchdog;
@@ -354,9 +329,6 @@ void Win::fence_stuck(const ult::TaskContext& ctx, int me, std::uint64_t need,
     e.arg2 = static_cast<std::int64_t>(mask);
     opts_.obs->record(e);
   }
-#else
-  (void)ctx;
-#endif
   throw MpiError(os.str());
 }
 
@@ -377,7 +349,6 @@ void Win::lock_stuck(const ult::TaskContext& ctx, int me, int target,
   } else {
     os << "held shared by " << (word & 0xffffffff) << " reader(s)";
   }
-#if HLSMPC_OBS_ENABLED
   if (opts_.obs != nullptr) {
     obs::Event e;
     e.kind = obs::EventKind::watchdog;
@@ -389,9 +360,6 @@ void Win::lock_stuck(const ult::TaskContext& ctx, int me, int target,
     e.arg2 = static_cast<std::int64_t>(mask);
     opts_.obs->record(e);
   }
-#else
-  (void)ctx;
-#endif
   throw MpiError(os.str());
 }
 

@@ -61,8 +61,7 @@ struct WinOptions {
   /// Receives one SyncEvent per op/epoch step (the race checker installs
   /// itself here). Must outlive the window.
   hls::SyncObserver* observer = nullptr;
-  /// Op + byte counters and epoch episodes; ignored when the
-  /// observability layer is compiled out.
+  /// Op + byte counters and epoch episodes.
   obs::Recorder* obs = nullptr;
   /// A fence or lock wait stuck longer than this throws MpiError naming
   /// the missing ranks / the current holder (and emits an

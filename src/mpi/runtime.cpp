@@ -63,9 +63,7 @@ Runtime::Runtime(const topo::Machine& machine, Options opts,
                  memtrack::Tracker* tracker)
     : machine_(machine), opts_(opts) {
   opts_.coll = coll_config_from_env(opts_.coll);
-#if HLSMPC_OBS_ENABLED
   obs_ = opts_.obs;
-#endif
   if (tracker != nullptr) {
     tracker_ = tracker;
   } else {
@@ -103,9 +101,7 @@ Runtime::Runtime(const topo::Machine& machine, Options opts,
         workers = std::min(machine_.num_cpus(), std::max(hw, 1));
       }
       auto fe = std::make_unique<ult::FiberExecutor>(workers);
-#if HLSMPC_OBS_ENABLED
       fe->set_obs(obs_);
-#endif
       executor_ = std::move(fe);
       break;
     }

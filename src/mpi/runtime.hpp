@@ -42,8 +42,7 @@ struct Options {
   std::size_t per_task_overhead_bytes = 64 * 1024;
   /// Observability recorder for p2p/collective counters and events plus
   /// scheduler context switches; typically shared with the HLS runtime
-  /// (mpc::Node does). Null = no MPI-side recording. Ignored when the
-  /// layer is compiled out (HLSMPC_OBS=OFF).
+  /// (mpc::Node does). Null = no MPI-side recording.
   obs::Recorder* obs = nullptr;
   /// Shared-memory collective engine tuning. Runtime construction applies
   /// the HLSMPC_COLL_* environment overrides on top (coll_config_from_env).
@@ -98,13 +97,8 @@ class Runtime {
   /// pending p2p operation).
   void reset_collectives();
 
-  /// The recorder passed via Options; nullptr when unset or when the
-  /// observability layer is compiled out.
-#if HLSMPC_OBS_ENABLED
+  /// The recorder passed via Options; nullptr when unset.
   obs::Recorder* obs() const { return obs_; }
-#else
-  obs::Recorder* obs() const { return nullptr; }
-#endif
 
   // -- internals used by Comm --
   int alloc_context();
@@ -127,9 +121,7 @@ class Runtime {
   std::vector<std::unique_ptr<rma::Win>> wins_;  // guarded by comms_mu_
   std::mutex comms_mu_;
   std::atomic<int> next_context_{0};
-#if HLSMPC_OBS_ENABLED
   obs::Recorder* obs_ = nullptr;
-#endif
   Comm* world_ = nullptr;
   int nranks_ = 0;
   std::unique_ptr<ult::Executor> executor_;

@@ -88,11 +88,9 @@ void SimFabricTransport::ride_out_flaps(ult::TaskContext& ctx, int node,
               " attempts — transient retry budget exhausted");
     }
     stats_.retries.fetch_add(1, std::memory_order_relaxed);
-#if HLSMPC_OBS_ENABLED
     if (opts_.obs != nullptr) {
       opts_.obs->count(ctx.task_id(), obs::Counter::net_retries);
     }
-#endif
     backoff.wait(ctx, attempt);
     ++attempt;
   }

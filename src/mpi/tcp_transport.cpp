@@ -1,7 +1,5 @@
 #include "mpi/tcp_transport.hpp"
 
-#if HLSMPC_TCP_ENABLED
-
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -474,5 +472,3 @@ bool TcpTransport::iprobe(int me_ep, int src, int tag, int context,
 }
 
 }  // namespace hlsmpc::mpi
-
-#endif  // HLSMPC_TCP_ENABLED

@@ -34,14 +34,10 @@
 // reads/writes are retried in place (poll()-waiting for readiness up to
 // Options::io_deadline_ms, counting stats().retries); only EOF, a socket
 // error, or the deadline expiring classify the peer as dead.
-//
-// The whole file sits behind the HLSMPC_TCP kill switch: an OFF build
-// compiles no socket code into the MPI archive (tcp_off_symbol_check).
+
 #pragma once
 
 #include "mpi/transport.hpp"
-
-#if HLSMPC_TCP_ENABLED
 
 #include <atomic>
 #include <memory>
@@ -138,5 +134,3 @@ class TcpTransport final : public Transport {
 };
 
 }  // namespace hlsmpc::mpi
-
-#endif  // HLSMPC_TCP_ENABLED

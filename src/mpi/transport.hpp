@@ -24,7 +24,7 @@
 //     inter-node fabric; endpoints are cluster-global ranks, every send is
 //     a copy, and schedule points are exposed to src/check's deterministic
 //     executor so multi-node protocols are explorable and replayable.
-//   - TcpTransport (tcp_transport.hpp, HLSMPC_TCP=ON builds only):
+//   - TcpTransport (tcp_transport.hpp):
 //     endpoints are nodes joined by stream sockets for real multi-node
 //     runs; peer death surfaces as NodeDeadError.
 #pragma once

@@ -9,20 +9,14 @@
 // into per-task counters and bounded ring buffers, and further sinks can
 // be chained behind it (the happens-before tracer in src/hb/ is one).
 //
-// The whole layer sits behind the compile-time switch HLSMPC_OBS (CMake
-// option; macro HLSMPC_OBS_ENABLED). When the switch is off the types
-// still exist — exporters and offline tools keep compiling — but every
-// instrumentation site in the runtime is compiled out, so the hot-path
-// numbers of a stripped build are bit-identical to a pre-observability
-// build (verified by a symbol check on the hls archive, see tests/).
+// Instrumentation is always compiled in and configured at run time: a
+// site with no recorder attached costs one null test, and a recorder with
+// ring_capacity 0 keeps its counters and feeds its chained sinks but
+// stores no events.
 #pragma once
 
 #include <array>
 #include <cstdint>
-
-#ifndef HLSMPC_OBS_ENABLED
-#define HLSMPC_OBS_ENABLED 1
-#endif
 
 namespace hlsmpc::obs {
 

@@ -185,16 +185,6 @@ std::vector<int> Machine::cpus_of_cache_instance(int level, int inst) const {
   return cpus;
 }
 
-std::vector<int> Machine::cpus_of_numa(int numa) const {
-  if (numa < 0 || numa >= num_numa()) {
-    throw std::out_of_range("cpus_of_numa: bad numa index");
-  }
-  const int per = desc_.cores_per_numa * desc_.threads_per_core;
-  std::vector<int> cpus(static_cast<std::size_t>(per));
-  for (int i = 0; i < per; ++i) cpus[static_cast<std::size_t>(i)] = numa * per + i;
-  return cpus;
-}
-
 std::vector<int> Machine::cpus_of_core(int core) const {
   if (core < 0 || core >= num_cores()) {
     throw std::out_of_range("cpus_of_core: bad core index");

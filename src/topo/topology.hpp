@@ -87,7 +87,6 @@ class Machine {
   /// All cpus sharing cache instance `inst` at `level`, in cpu order.
   std::vector<int> cpus_of_cache_instance(int level, int inst) const;
 
-  std::vector<int> cpus_of_numa(int numa) const;
   std::vector<int> cpus_of_core(int core) const;
 
  private:

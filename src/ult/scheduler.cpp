@@ -42,19 +42,11 @@ bool ThreadCensus::oversubscribed() {
 }
 
 void Scheduler::set_obs(obs::Recorder* obs) {
-#if HLSMPC_OBS_ENABLED
   obs_ = obs;
-#else
-  (void)obs;
-#endif
 }
 
 void FiberExecutor::set_obs(obs::Recorder* obs) {
-#if HLSMPC_OBS_ENABLED
   obs_ = obs;
-#else
-  (void)obs;
-#endif
 }
 
 Scheduler::Scheduler(int num_workers) {
@@ -127,7 +119,6 @@ void Scheduler::worker_loop(int index) {
       w.ready.pop_front();
     }
     bool finished = false;
-#if HLSMPC_OBS_ENABLED
     // Counting from the worker is safe: the task's fiber resumes on this
     // very thread next, so the bump is sequenced before the task's own
     // writes to its block (still effectively single-writer).
@@ -142,7 +133,6 @@ void Scheduler::worker_loop(int index) {
       e.arg = index;
       obs_->record(e);
     }
-#endif
     try {
       finished = task->fiber->resume();
     } catch (...) {
@@ -196,9 +186,7 @@ void FiberExecutor::run(int n, const std::vector<int>& pins,
     throw std::invalid_argument("FiberExecutor: pins.size() != n");
   }
   Scheduler sched(num_workers_);
-#if HLSMPC_OBS_ENABLED
   sched.set_obs(obs_);
-#endif
   for (int i = 0; i < n; ++i) {
     const int cpu = pins[static_cast<std::size_t>(i)];
     sched.spawn(cpu % num_workers_, i, cpu,

@@ -55,7 +55,7 @@ class Scheduler {
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
   /// Record every fiber resume (counter + instant event) into `obs`.
-  /// Call before run(); no-op when observability is compiled out.
+  /// Call before run().
   void set_obs(obs::Recorder* obs);
 
   /// Register a task before run(). `worker` is the initial pinning;
@@ -85,9 +85,7 @@ class Scheduler {
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<Task>> tasks_;
-#if HLSMPC_OBS_ENABLED
   obs::Recorder* obs_ = nullptr;
-#endif
   std::atomic<int> remaining_{0};
   std::atomic<bool> done_{false};
   std::mutex error_mu_;
@@ -122,16 +120,13 @@ class FiberExecutor final : public Executor {
            const std::function<void(TaskContext&)>& body) override;
   const char* name() const override { return "fiber"; }
 
-  /// Forwarded to the Scheduler of every run(). No-op when observability
-  /// is compiled out.
+  /// Forwarded to the Scheduler of every run().
   void set_obs(obs::Recorder* obs);
 
  private:
   int num_workers_;
   std::size_t stack_bytes_;
-#if HLSMPC_OBS_ENABLED
   obs::Recorder* obs_ = nullptr;
-#endif
 };
 
 }  // namespace hlsmpc::ult

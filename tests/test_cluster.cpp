@@ -305,7 +305,6 @@ TEST(Cluster, ObsCountsCollectivesAndFabricTraffic) {
                      *static_cast<int*>(a) += *static_cast<const int*>(b);
                    });
   });
-#if HLSMPC_OBS_ENABLED
   const obs::Snapshot s = rec.snapshot();
   // Every rank entered one cluster collective; only leaders (ranks 0 and
   // 4) touched the fabric.
@@ -318,7 +317,6 @@ TEST(Cluster, ObsCountsCollectivesAndFabricTraffic) {
               0u)
         << "non-leader rank " << g << " must not touch the fabric";
   }
-#endif
 }
 
 TEST(Cluster, OversubscribedRunNeverSpinsOnRequests) {
@@ -346,9 +344,7 @@ TEST(Cluster, OversubscribedRunNeverSpinsOnRequests) {
   EXPECT_EQ(wrong.load(), 0);
   const obs::Snapshot s = rec.snapshot();
   EXPECT_EQ(s.value(obs::Counter::wait_spin_completions), 0u);
-#if HLSMPC_OBS_ENABLED
   EXPECT_GT(s.value(obs::Counter::wait_parks), 0u);
-#endif
 }
 
 TEST(Cluster, LanePathIsTakenAboveTheThresholdOnly) {
@@ -372,7 +368,6 @@ TEST(Cluster, LanePathIsTakenAboveTheThresholdOnly) {
       for (const std::int64_t v : out) wrong.fetch_add(v != 1 + 2 + 3 + 4);
     });
     EXPECT_EQ(wrong.load(), 0) << "bytes=" << bytes;
-#if HLSMPC_OBS_ENABLED
     const obs::Snapshot s = rec.snapshot();
     for (const int g : {1, 3}) {
       const std::uint64_t sends =
@@ -384,7 +379,6 @@ TEST(Cluster, LanePathIsTakenAboveTheThresholdOnly) {
         EXPECT_EQ(sends, 0u) << "rank " << g << " left the local tier";
       }
     }
-#endif
   }
 }
 

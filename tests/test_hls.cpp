@@ -613,11 +613,9 @@ ult::ThreadTaskContext bound_ctx(hls::Runtime& rt, int task, int cpu) {
   return ctx;
 }
 
-#if HLSMPC_OBS_ENABLED
 std::uint64_t counter(const hls::Runtime& rt, int task, obs::Counter c) {
   return rt.obs()->counter(task, c);
 }
-#endif
 
 }  // namespace
 
@@ -645,16 +643,12 @@ TEST(HlsGetAddr, CpuGuardMissesWhenCpuChangesWithoutBind) {
   ult::ThreadTaskContext ctx = bound_ctx(rt, 0, 0);
   void* on_numa0 = rt.get_addr(h, ctx);
   EXPECT_EQ(rt.get_addr(h, ctx), on_numa0);  // warm hit
-#if HLSMPC_OBS_ENABLED
   const std::uint64_t cold = counter(rt, 0, obs::Counter::get_addr_cold);
-#endif
   ctx.set_cpu(8);
   void* on_numa1 = rt.get_addr(h, ctx);
   EXPECT_NE(on_numa1, on_numa0);
   EXPECT_EQ(on_numa1, rt.storage().get_addr(h, 8));
-#if HLSMPC_OBS_ENABLED
   EXPECT_EQ(counter(rt, 0, obs::Counter::get_addr_cold), cold + 1);
-#endif
 }
 
 TEST(HlsGetAddr, WarmRangeFailureThrowsWithoutResolving) {
@@ -676,7 +670,6 @@ TEST(HlsGetAddr, WarmRangeFailureThrowsWithoutResolving) {
   hls::VarHandle bad = h;
   bad.offset = h.size - 4;
   bad.size = 8;
-#if HLSMPC_OBS_ENABLED
   auto touches = [&] {
     return counter(rt, 0, obs::Counter::tier_cache_hits) +
            counter(rt, 0, obs::Counter::tier_cache_misses);
@@ -685,13 +678,10 @@ TEST(HlsGetAddr, WarmRangeFailureThrowsWithoutResolving) {
   const std::uint64_t warm = counter(rt, 0, obs::Counter::get_addr_warm);
   const std::uint64_t touched = touches();
   EXPECT_GT(touched, 0u);  // the cold resolve went through the cache
-#endif
   EXPECT_THROW(rt.get_addr(bad, ctx), hls::HlsError);
-#if HLSMPC_OBS_ENABLED
   EXPECT_EQ(counter(rt, 0, obs::Counter::get_addr_cold), cold);
   EXPECT_EQ(counter(rt, 0, obs::Counter::get_addr_warm), warm);
   EXPECT_EQ(touches(), touched);
-#endif
 }
 
 TEST(HlsMigration, AddrCacheInvalidatedOnMigration) {

@@ -282,7 +282,7 @@ TEST(ObsRuntime, CountsDirectivesAndStorage) {
   topo::Machine m = topo::Machine::generic(1, 2);
   hls::Runtime rt(m, 2);
   obs::Recorder* rec = rt.obs();
-  if (rec == nullptr) GTEST_SKIP() << "built with HLSMPC_OBS=OFF";
+  ASSERT_NE(rec, nullptr);
 
   hls::ModuleBuilder mb(rt.registry(), "mod");
   auto v = hls::add_var<int>(mb, "v", topo::node_scope());
@@ -346,7 +346,7 @@ TEST(ObsRuntime, MigrationCountsAcceptAndReject) {
   topo::Machine m = topo::Machine::generic(1, 2);
   hls::Runtime rt(m, 2);
   obs::Recorder* rec = rt.obs();
-  if (rec == nullptr) GTEST_SKIP() << "built with HLSMPC_OBS=OFF";
+  ASSERT_NE(rec, nullptr);
 
   hls::ModuleBuilder mb(rt.registry(), "mod");
   auto v = hls::add_var<int>(mb, "v", topo::core_scope());
@@ -374,8 +374,7 @@ TEST(ObsRuntime, SharedRecorderViaOptionsAndSinkChain) {
   CollectingSink sink;
   hls::Runtime rt(m, 2,
                   hls::Runtime::Options{.obs = &shared, .obs_sink = &sink});
-  if (rt.obs() == nullptr) GTEST_SKIP() << "built with HLSMPC_OBS=OFF";
-  EXPECT_EQ(rt.obs(), &shared);
+  ASSERT_EQ(rt.obs(), &shared);
 
   hls::ModuleBuilder mb(rt.registry(), "mod");
   auto v = hls::add_var<int>(mb, "v", topo::node_scope());
@@ -403,7 +402,6 @@ TEST(ObsExplorer, EpisodeCountersInvariantAcrossSchedules) {
     topo::Machine m = topo::Machine::generic(1, 4);
     hls::Runtime rt(m, kTasks);
     obs::Recorder* rec = rt.obs();
-    if (rec == nullptr) return;  // OFF build: nothing to check
     hls::ModuleBuilder mb(rt.registry(), "mod");
     auto v = hls::add_var<int>(mb, "v", topo::node_scope());
     mb.commit();
@@ -451,7 +449,6 @@ TEST(ObsExplorer, SameScheduleSameCounters) {
   auto run_once = [](std::vector<std::uint64_t>* out) {
     topo::Machine m = topo::Machine::generic(1, 2);
     hls::Runtime rt(m, 2);
-    if (rt.obs() == nullptr) return false;
     hls::ModuleBuilder mb(rt.registry(), "mod");
     auto v = hls::add_var<int>(mb, "v", topo::node_scope());
     mb.commit();
@@ -468,12 +465,12 @@ TEST(ObsExplorer, SameScheduleSameCounters) {
     for (const auto& t : s.tasks) {
       out->insert(out->end(), t.c.begin(), t.c.end());
     }
-    return true;
   };
   std::vector<std::uint64_t> a;
   std::vector<std::uint64_t> b;
-  if (!run_once(&a)) GTEST_SKIP() << "built with HLSMPC_OBS=OFF";
-  ASSERT_TRUE(run_once(&b));
+  run_once(&a);
+  run_once(&b);
+  ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
 }
 
@@ -485,7 +482,7 @@ TEST(ObsNode, SharedRecorderSeesMpiAndHls) {
   opts.mpi.nranks = 2;
   mpc::Node node(m, opts);
   obs::Recorder* rec = node.obs();
-  if (rec == nullptr) GTEST_SKIP() << "built with HLSMPC_OBS=OFF";
+  ASSERT_NE(rec, nullptr);
   EXPECT_EQ(node.mpi_rt().obs(), rec);
 
   hls::ArrayVar<double> shared;
@@ -526,7 +523,6 @@ TEST(ObsNode, RuntimeTracerRetrofitsAsSink) {
   // obs_sink): a barrier alone, served by the shared-memory engine without
   // a p2p message, reaches it as a collective event and becomes the
   // representative exchange of hb::SyncWave.
-  if (!HLSMPC_OBS_ENABLED) GTEST_SKIP() << "built with HLSMPC_OBS=OFF";
   topo::Machine m = topo::Machine::generic(1, 2);
   hb::RuntimeTracer tracer(2);
   mpc::NodeOptions opts;

@@ -362,15 +362,11 @@ TEST_P(RecoverParam, LanePathKillShrinkRespawnReadmit) {
     }
   });
   EXPECT_EQ(full_ok.load(), nranks_);
-#if HLSMPC_OBS_ENABLED
   const std::uint64_t sends_after =
       rec.snapshot().tasks[static_cast<std::size_t>(victim * rpn + rpn - 1)]
           .c[static_cast<int>(obs::Counter::net_sends)];
   EXPECT_GT(sends_after, sends_before)
       << "the readmitted node's last lane carried nothing";
-#else
-  (void)sends_before;
-#endif
 }
 
 TEST(Recover, RespawnLaunchFailureIsCleanAndRetryable) {
@@ -478,10 +474,8 @@ TEST(Recover, ObsCountsRecoveryEpisode) {
     }
     comm.shrink(ctx);
   });
-#if HLSMPC_OBS_ENABLED
   const obs::Snapshot s = rec.snapshot();
   EXPECT_EQ(s.total.c[static_cast<int>(obs::Counter::recoveries)], 1u);
-#endif
 }
 
 // ---- HLS checkpoint/restore ----

@@ -447,7 +447,6 @@ TEST(RmaObs, CountersAndEpisodesRecorded) {
     win.fence(ctx, me);
     world.win_free(ctx, win);
   });
-#if HLSMPC_OBS_ENABLED
   const obs::Snapshot s = rec.snapshot();
   const auto total = [&](obs::Counter c) { return s.value(c); };
   EXPECT_EQ(total(obs::Counter::rma_puts), 1u);
@@ -468,7 +467,6 @@ TEST(RmaObs, CountersAndEpisodesRecorded) {
   EXPECT_TRUE(saw_op);
   EXPECT_TRUE(saw_epoch);
   EXPECT_TRUE(saw_lock_epoch);
-#endif
 }
 
 // ---------- schedule exploration and the race checker ----------

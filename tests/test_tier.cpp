@@ -411,12 +411,8 @@ TEST(PageCache, EvictsUnderPoolPressureWithoutDataLoss) {
 TEST(PageCache, PrereadCountsBytesActuallyRead) {
   const std::string dir = fresh_dir("hls_tier_pc_short");
   shm::MappedSegment seg(dir + "/seg", 8 * kPage);
-#if HLSMPC_OBS_ENABLED
   obs::Recorder rec({.ntasks = 1, .num_scopes = 0, .ring_capacity = 8});
   hls::PageCache pc(small_pages(dir), &rec);
-#else
-  hls::PageCache pc(small_pages(dir));
-#endif
   const int rid = pc.attach(&seg);
 
   // The backing file shrinks under the cache: the 4-page read-ahead
@@ -431,10 +427,8 @@ TEST(PageCache, PrereadCountsBytesActuallyRead) {
   const hls::PageCache::Stats s = pc.stats();
   EXPECT_EQ(s.prereads, 1u);
   EXPECT_EQ(s.preread_bytes, static_cast<std::uint64_t>(n));
-#if HLSMPC_OBS_ENABLED
   EXPECT_EQ(rec.snapshot().value(obs::Counter::tier_preread_bytes),
             static_cast<std::uint64_t>(n));
-#endif
   ASSERT_EQ(::ftruncate(seg.fd(), static_cast<off_t>(8 * kPage)), 0);
 }
 
@@ -567,12 +561,10 @@ TEST(TierRuntime, FileBackedSurvivesRestartBitIdenticalThroughGetAddr) {
       flushed = rt.tier_flush(ctx);
     });
     EXPECT_GT(flushed, 0u);
-#if HLSMPC_OBS_ENABLED
     const obs::Snapshot snap = rt.obs()->snapshot();
     EXPECT_GE(snap.value(obs::Counter::tier_spills), 1u);
     EXPECT_GE(snap.value(obs::Counter::tier_cache_misses), 1u);
     EXPECT_GT(snap.value(obs::Counter::tier_writeback_bytes), 0u);
-#endif
   }
   // The stable-path backing file outlives the runtime.
   EXPECT_GE(count_files(dir), 1);
@@ -598,12 +590,10 @@ TEST(TierRuntime, FileBackedSurvivesRestartBitIdenticalThroughGetAddr) {
                             &ctx);
     });
     EXPECT_TRUE(ok.load());
-#if HLSMPC_OBS_ENABLED
     const obs::Snapshot snap = rt.obs()->snapshot();
     EXPECT_GE(snap.value(obs::Counter::tier_cache_misses), 1u);
     EXPECT_GE(snap.value(obs::Counter::tier_cache_hits), 1u);
     EXPECT_GE(snap.value(obs::Counter::tier_spills), 1u);
-#endif
   }
 }
 

@@ -76,20 +76,7 @@ hb::Eligibility eligibility(const hb::RuntimeTracer& tracer,
 
 }  // namespace
 
-/// Skips every case in a build whose tracer cannot see the runtime
-/// (HLSMPC_OBS=OFF), naming the reason the tracer gives.
-class RuntimeTracer : public ::testing::Test {
- protected:
-  void SetUp() override {
-    try {
-      hb::RuntimeTracer tracer(1);
-    } catch (const hlsmpc::hls::HlsError& e) {
-      GTEST_SKIP() << e.what();
-    }
-  }
-};
-
-TEST_F(RuntimeTracer, RecordsP2pSynchronization) {
+TEST(RuntimeTracer, RecordsP2pSynchronization) {
   hb::RuntimeTracer tracer(2);
   Traced t(2, tracer);
   t.rt().run([&](mpi::Comm& world, TaskContext& ctx) {
@@ -115,7 +102,7 @@ TEST_F(RuntimeTracer, RecordsP2pSynchronization) {
   EXPECT_EQ(result.for_var("x").eligibility, hb::Eligibility::eligible);
 }
 
-TEST_F(RuntimeTracer, BarrierOrdersOneRanksWritesBeforeEveryRead) {
+TEST(RuntimeTracer, BarrierOrdersOneRanksWritesBeforeEveryRead) {
   // The barrier runs on the shared-memory engine (no p2p message) or the
   // p2p dissemination algorithm; its collective event orders it either way.
   constexpr int kRanks = 4;
@@ -130,7 +117,7 @@ TEST_F(RuntimeTracer, BarrierOrdersOneRanksWritesBeforeEveryRead) {
   }
 }
 
-TEST_F(RuntimeTracer, UnsequencedCollectivesPairByCallOrder) {
+TEST(RuntimeTracer, UnsequencedCollectivesPairByCallOrder) {
   // allreduce and allgather draw no sequence number: their waves pair the
   // k-th such call of every rank, here across both ops and both engines.
   constexpr int kRanks = 4;
@@ -162,7 +149,7 @@ TEST_F(RuntimeTracer, UnsequencedCollectivesPairByCallOrder) {
   }
 }
 
-TEST_F(RuntimeTracer, FenceOrdersOneRanksWritesBeforeEveryRead) {
+TEST(RuntimeTracer, FenceOrdersOneRanksWritesBeforeEveryRead) {
   constexpr int kRanks = 4;
   hb::RuntimeTracer tracer(kRanks);
   Traced t(kRanks, tracer);
@@ -177,7 +164,7 @@ TEST_F(RuntimeTracer, FenceOrdersOneRanksWritesBeforeEveryRead) {
   expect_share_as_is(tracer);
 }
 
-TEST_F(RuntimeTracer, ClusterCollectivesOrderOneRanksWritesBeforeEveryRead) {
+TEST(RuntimeTracer, ClusterCollectivesOrderOneRanksWritesBeforeEveryRead) {
   for (const auto exec :
        {mpi::ExecutorKind::thread, mpi::ExecutorKind::fiber}) {
     for (const bool allreduce : {false, true}) {
@@ -207,7 +194,7 @@ TEST_F(RuntimeTracer, ClusterCollectivesOrderOneRanksWritesBeforeEveryRead) {
   }
 }
 
-TEST_F(RuntimeTracer, CrossNodeMessageOrdersWriteBeforeRead) {
+TEST(RuntimeTracer, CrossNodeMessageOrdersWriteBeforeRead) {
   hb::RuntimeTracer tracer(4);
   obs::Recorder rec(counters_only(4));
   rec.chain(&tracer);
@@ -231,7 +218,7 @@ TEST_F(RuntimeTracer, CrossNodeMessageOrdersWriteBeforeRead) {
   expect_share_as_is(tracer);
 }
 
-TEST_F(RuntimeTracer, SubCommunicatorCollectiveOrdersItsMembersOnly) {
+TEST(RuntimeTracer, SubCommunicatorCollectiveOrdersItsMembersOnly) {
   hb::RuntimeTracer tracer(4);
   Traced t(4, tracer);
   t.rt().run([&](mpi::Comm& world, TaskContext& ctx) {
@@ -251,7 +238,7 @@ TEST_F(RuntimeTracer, SubCommunicatorCollectiveOrdersItsMembersOnly) {
   EXPECT_NE(eligibility(tracer, "outsider"), hb::Eligibility::eligible);
 }
 
-TEST_F(RuntimeTracer, BcastOrdersTheRootBeforeTheOthersOnly) {
+TEST(RuntimeTracer, BcastOrdersTheRootBeforeTheOthersOnly) {
   for (const bool shm : {true, false}) {
     SCOPED_TRACE(shm ? "shm engine" : "p2p algorithm");
     hb::RuntimeTracer tracer(3);
@@ -274,7 +261,7 @@ TEST_F(RuntimeTracer, BcastOrdersTheRootBeforeTheOthersOnly) {
   }
 }
 
-TEST_F(RuntimeTracer, ScanOrdersLowerRanksBeforeHigherOnly) {
+TEST(RuntimeTracer, ScanOrdersLowerRanksBeforeHigherOnly) {
   for (const bool shm : {true, false}) {
     SCOPED_TRACE(shm ? "shm engine" : "p2p algorithm");
     hb::RuntimeTracer tracer(4);
@@ -295,7 +282,7 @@ TEST_F(RuntimeTracer, ScanOrdersLowerRanksBeforeHigherOnly) {
   }
 }
 
-TEST_F(RuntimeTracer, CallThatThrewAddsNoEdge) {
+TEST(RuntimeTracer, CallThatThrewAddsNoEdge) {
   // Fed by hand: a barrier wave where task 1's call unwound an exception
   // (flag false) must order nothing, the same wave completed must.
   for (const bool completed : {false, true}) {
@@ -317,7 +304,7 @@ TEST_F(RuntimeTracer, CallThatThrewAddsNoEdge) {
   }
 }
 
-TEST_F(RuntimeTracer, DetectsRankDependentVariable) {
+TEST(RuntimeTracer, DetectsRankDependentVariable) {
   constexpr int kRanks = 4;
   hb::RuntimeTracer tracer(kRanks);
   Traced t(kRanks, tracer);
@@ -334,7 +321,7 @@ TEST_F(RuntimeTracer, DetectsRankDependentVariable) {
   EXPECT_FALSE(advice[0].spmd_identical_writes);
 }
 
-TEST_F(RuntimeTracer, DetectsSpmdUpdatePattern) {
+TEST(RuntimeTracer, DetectsSpmdUpdatePattern) {
   // The listing-1 pattern: every rank recomputes the variable identically
   // each step with no separating barrier -> advise single insertion.
   constexpr int kRanks = 3;
@@ -354,7 +341,7 @@ TEST_F(RuntimeTracer, DetectsSpmdUpdatePattern) {
             hb::Recommendation::wrap_writes_in_single);
 }
 
-TEST_F(RuntimeTracer, SendrecvRingIsCaptured) {
+TEST(RuntimeTracer, SendrecvRingIsCaptured) {
   constexpr int kRanks = 4;
   hb::RuntimeTracer tracer(kRanks);
   Traced t(kRanks, tracer);
@@ -373,7 +360,7 @@ TEST_F(RuntimeTracer, SendrecvRingIsCaptured) {
   EXPECT_NO_THROW(hb::Analyzer{tracer.trace()});
 }
 
-TEST_F(RuntimeTracer, NumEventsCountsAppAndRuntimeEvents) {
+TEST(RuntimeTracer, NumEventsCountsAppAndRuntimeEvents) {
   hb::RuntimeTracer tracer(2);
   Traced t(2, tracer);
   t.rt().run([&](mpi::Comm& world, TaskContext& ctx) {

@@ -566,7 +566,6 @@ TEST(RequestWait, CompletionsRacingSpinToParkNeverHang) {
   }
   completer.join();
   EXPECT_EQ(wrong, 0);
-#if HLSMPC_OBS_ENABLED
   const std::uint64_t spins =
       rec.counter(0, obs::Counter::wait_spin_completions);
   const std::uint64_t parks = rec.counter(0, obs::Counter::wait_parks);
@@ -578,7 +577,6 @@ TEST(RequestWait, CompletionsRacingSpinToParkNeverHang) {
   } else {
     EXPECT_EQ(spins, 0u);
   }
-#endif
 }
 
 TEST(RequestWait, DeadNodeErrorDuringSpinNamesTheNode) {
@@ -604,17 +602,11 @@ TEST(RequestWait, DeadNodeErrorDuringSpinNamesTheNode) {
       EXPECT_NE(std::string(e.what()).find("node 3"), std::string::npos);
     }
     killer.join();
-#if HLSMPC_OBS_ENABLED
     if (rec.counter(0, obs::Counter::wait_spin_completions) > 0) break;
-#else
-    break;
-#endif
   }
-#if HLSMPC_OBS_ENABLED
   if (can_spin()) {
     EXPECT_GT(rec.counter(0, obs::Counter::wait_spin_completions), 0u);
   }
-#endif
 }
 
 TEST(RequestWait, WaitForTimesOutAroundTheSpinBound) {
