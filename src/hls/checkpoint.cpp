@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -106,11 +107,17 @@ struct CrcWriter {
   }
 };
 
-/// Read-only view of a version file. mmap when possible — restore then
-/// checksums and imports straight from the page cache, no intermediate
-/// copy — falling back to a buffered read on filesystems that refuse to
-/// map (the bench gate's restore-vs-memcpy bound assumes the mmap path).
+/// Read-only view of a version file, read in kStreamChunk pieces. mmap
+/// when possible — restore then checksums and imports straight from the
+/// page cache, no intermediate copy — falling back to a buffered read on
+/// filesystems that refuse to map (the bench gate's restore-vs-memcpy
+/// bound assumes the mmap path). A mapped view hands each piece back to
+/// the kernel (MADV_DONTNEED: the pages stay in the page cache, they
+/// leave this process's RSS) once it is hashed or copied, so a restore
+/// never holds the file and the regions it fills resident at once.
 struct FileView {
+  static constexpr std::size_t kStreamChunk = std::size_t{1} << 20;
+
   const char* data = nullptr;
   std::size_t size = 0;
 
@@ -160,7 +167,38 @@ struct FileView {
     return true;
   }
 
+  /// CRC-32C of the first `len` bytes, releasing each piece once hashed.
+  std::uint32_t crc(std::size_t len) const {
+    std::uint32_t c = 0;
+    for (std::size_t off = 0; off < len; off += kStreamChunk) {
+      const std::size_t n = std::min(kStreamChunk, len - off);
+      c = crc32c(data + off, n, c);
+      release(data + off, n);
+    }
+    return c;
+  }
+
+  /// memcpy of `bytes` from `src` (inside the view) to `dst`, releasing
+  /// each source piece once copied.
+  void copy_out(std::byte* dst, const char* src, std::size_t bytes) const {
+    for (std::size_t off = 0; off < bytes; off += kStreamChunk) {
+      const std::size_t n = std::min(kStreamChunk, bytes - off);
+      std::memcpy(dst + off, src + off, n);
+      release(src + off, n);
+    }
+  }
+
  private:
+  /// Drop this process's mapping of the pages overlapping [p, p + len);
+  /// a later read faults them back from the page cache.
+  void release(const char* p, std::size_t len) const {
+    if (map_ == nullptr) return;
+    const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+    const auto lo = reinterpret_cast<std::uintptr_t>(p) & ~(page - 1);
+    const auto hi = reinterpret_cast<std::uintptr_t>(p) + len;
+    ::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+  }
+
   void* map_ = nullptr;
   std::vector<char> buf_;
 };
@@ -215,7 +253,7 @@ bool file_crc_valid(const std::string& path) {
   const std::size_t body = file.size - sizeof(std::uint32_t);
   std::uint32_t trailer;
   std::memcpy(&trailer, file.data + body, sizeof(trailer));
-  return crc32c(file.data, body, 0) == trailer;
+  return file.crc(body) == trailer;
 }
 
 /// One fully validated version file: view kept alive so `pending` spans
@@ -261,7 +299,7 @@ bool load_version(const std::string& path, const CanonicalScope& scope,
   const std::size_t body = file.size - sizeof(std::uint32_t);
   std::uint32_t trailer;
   std::memcpy(&trailer, file.data + body, sizeof(trailer));
-  if (crc32c(file.data, body, 0) != trailer) return false;
+  if (file.crc(body) != trailer) return false;
 
   // Manifest walk: bounds-check the declared spans against the file, then
   // against the current registry layout. Any mismatch disqualifies the
@@ -592,19 +630,18 @@ CheckpointStore::Report CheckpointStore::restore(StorageManager& storage,
     }
     if (!ok) continue;
 
-    // Apply oldest link (the full base) to newest: full regions via
-    // import_region, delta spans via import_region_range.
+    // Apply oldest link (the full base) to newest. A full-kind span
+    // covers its region exactly (load_version checked), so a region it
+    // first-touches skips the initializers it would overwrite.
     std::size_t applied = 0;
     int nspans = 0;
     for (auto f = chain.rbegin(); f != chain.rend(); ++f) {
+      const FileView& file = (*f)->file;
       for (const Loaded::Pending& p : (*f)->pending) {
-        if ((*f)->hdr.kind == kKindFull) {
-          storage.import_region(scope, p.rh.instance, p.rh.module, p.payload,
-                                p.rh.bytes);
-        } else {
-          storage.import_region_range(scope, p.rh.instance, p.rh.module,
-                                      p.rh.offset, p.payload, p.rh.bytes);
-        }
+        storage.import_region(scope, p.rh.instance, p.rh.module, p.rh.offset,
+                              p.rh.bytes, [&](std::byte* dst) {
+                                file.copy_out(dst, p.payload, p.rh.bytes);
+                              });
         applied += p.rh.bytes;
         ++nspans;
       }

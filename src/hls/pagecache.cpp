@@ -1,9 +1,9 @@
 #include "hls/pagecache.hpp"
 
-#include <unistd.h>
+#include <fcntl.h>
+#include <sys/stat.h>
 
 #include <algorithm>
-#include <cstring>
 
 #include "hls/crc32c.hpp"
 #include "hls/registry.hpp"
@@ -93,31 +93,21 @@ int PageCache::attach(shm::MappedSegment* seg, int sid, int instance) {
   return static_cast<int>(regions_.size() - 1);
 }
 
-std::size_t PageCache::scan_locked(const Region& r, std::size_t first,
-                                   std::size_t end, unsigned char* dirty,
-                                   std::uint32_t* crcs) const {
-  std::size_t ndirty = 0;
-  for (std::size_t p = first; p < end; ++p) {
-    bool d = r.noted[p] != 0;
-    // A hinted page is dirty whatever its content: hash it only when the
-    // caller keeps CRCs. `crcs` may alias base_crc (rebaseline), so the
-    // store comes after the compare.
-    if (crcs != nullptr || !d) {
-      const std::uint32_t c = page_crc(*r.seg, cfg_.page_bytes, p);
-      ++stats_.hashed_pages;
-      d = d || c != r.base_crc[p];
-      if (crcs != nullptr) crcs[p - first] = c;
-    }
-    if (dirty != nullptr) dirty[p - first] = d ? 1 : 0;
-    if (d) ++ndirty;
+void PageCache::scan_locked(const Region& r, unsigned char* dirty,
+                            std::uint32_t* crcs) const {
+  for (std::size_t p = 0; p < r.npages; ++p) {
+    // `crcs` may alias base_crc (rebaseline): compare before storing.
+    const std::uint32_t c = page_crc(*r.seg, cfg_.page_bytes, p);
+    if (dirty != nullptr) dirty[p] = r.noted[p] != 0 || c != r.base_crc[p];
+    crcs[p] = c;
   }
-  return ndirty;
+  stats_.hashed_pages += r.npages;
 }
 
 std::vector<std::pair<std::size_t, std::size_t>> PageCache::spans_locked(
     const Region& r, std::uint32_t* crcs) const {
   std::vector<unsigned char> dirty(r.npages);
-  scan_locked(r, 0, r.npages, dirty.data(), crcs);
+  scan_locked(r, dirty.data(), crcs);
   std::vector<std::pair<std::size_t, std::size_t>> out;
   std::size_t p = 0;
   while (p < r.npages) {
@@ -181,11 +171,15 @@ void PageCache::evict_down_to_budget_locked(int task) {
       }
     }
     if (vr == nullptr) return;  // budget smaller than bookkeeping says
-    if (scan_locked(*vr, vp, vp + 1, nullptr, nullptr) != 0) {
+    // The kernel knows whether the page was stored to since its last
+    // write-back; asking it reads nothing through the mapping. Where it
+    // cannot say, the page is written back: one msync of a clean page.
+    const std::size_t off = vp * cfg_.page_bytes;
+    const std::size_t len = page_span(cfg_.page_bytes, vr->seg->size(), vp);
+    if (vr->seg->dirty_bytes(off, len).value_or(len) != 0) {
       writeback_page_locked(*vr, vp, task);
     }
-    vr->seg->drop(vp * cfg_.page_bytes,
-                  page_span(cfg_.page_bytes, vr->seg->size(), vp));
+    vr->seg->drop(off, len);
     vr->resident[vp] = 0;
     --resident_pages_;
     ++stats_.evictions;
@@ -201,6 +195,11 @@ void PageCache::touch(int rid, std::size_t offset, std::size_t len,
   len = std::min(len, r->seg->size() - offset);
   const std::size_t first = offset / cfg_.page_bytes;
   const std::size_t last = (offset + len - 1) / cfg_.page_bytes;
+  // Of a touch longer than the pool, LRU keeps only the trailing
+  // pool_pages: misses before `tail` are priced but not read, since this
+  // same touch would evict them again.
+  const std::size_t tail =
+      last + 1 - std::min(last + 1 - first, cfg_.pool_pages);
   for (std::size_t p = first; p <= last; ++p) {
     if (r->resident[p] != 0) {
       ++stats_.hits;
@@ -208,31 +207,30 @@ void PageCache::touch(int rid, std::size_t offset, std::size_t len,
       if (obs_ != nullptr) obs_->count(task, obs::Counter::tier_cache_hits);
       continue;
     }
-    // Miss: bulk-read a window starting here. The pread populates the
-    // kernel page cache, so the pages this rank's neighbours touch next
-    // — and the remainder of this access — fault from memory.
-    const std::size_t wend =
-        std::min(r->npages, std::max(p + cfg_.read_ahead_pages, last + 1));
-    std::size_t wpages = 0;
-    std::size_t q = p;
-    while (q < wend && r->resident[q] == 0) {
-      ++wpages;
-      ++q;
+    if (p < tail) {
+      ++stats_.misses;
+      if (obs_ != nullptr) obs_->count(task, obs::Counter::tier_cache_misses);
+      continue;
     }
+    // Miss: hint the kernel to read a window starting here. Its product
+    // is the KERNEL page cache, so the pages this rank's neighbours touch
+    // next — and the remainder of this access — fault from memory. The
+    // window never outgrows the pool (its tail would evict its head).
+    const std::size_t wend =
+        std::min({r->npages, std::max(p + cfg_.read_ahead_pages, last + 1),
+                  p + cfg_.pool_pages});
+    std::size_t wpages = 0;
+    while (p + wpages < wend && r->resident[p + wpages] == 0) ++wpages;
     const std::size_t woff = p * cfg_.page_bytes;
-    const std::size_t wlen =
-        std::min(wpages * cfg_.page_bytes, r->seg->size() - woff);
-    if (scratch_.size() < wlen) scratch_.resize(wlen);
-    std::size_t got = 0;
-    while (got < wlen) {
-      const ssize_t n = ::pread(r->seg->fd(), scratch_.data() + got,
-                                wlen - got, static_cast<off_t>(woff + got));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;  // holes read as zeros through the mapping anyway
-      }
-      if (n == 0) break;  // short file (hole at EOF): already zero pages
-      got += static_cast<std::size_t>(n);
+    struct stat st {};
+    const std::size_t eof = ::fstat(r->seg->fd(), &st) == 0
+                                ? static_cast<std::size_t>(st.st_size)
+                                : 0;
+    std::size_t asked =
+        woff < eof ? std::min(wpages * cfg_.page_bytes, eof - woff) : 0;
+    if (asked > 0 &&
+        ::readahead(r->seg->fd(), static_cast<off_t>(woff), asked) != 0) {
+      asked = 0;  // a failed hint asked nothing
     }
     std::uint64_t missed = 0;
     for (std::size_t m = p; m < p + wpages; ++m) {
@@ -245,17 +243,17 @@ void PageCache::touch(int rid, std::size_t offset, std::size_t len,
     }
     stats_.misses += missed;
     ++stats_.prereads;
-    stats_.preread_bytes += got;  // not wlen: an error or EOF stops short
+    stats_.preread_bytes += asked;
     if (obs_ != nullptr) {
       obs_->count(task, obs::Counter::tier_cache_misses, missed);
-      obs_->count(task, obs::Counter::tier_preread_bytes, got);
+      obs_->count(task, obs::Counter::tier_preread_bytes, asked);
       obs::Event e;
       e.kind = obs::EventKind::tier_preread;
       e.sid = static_cast<std::int16_t>(r->sid);
       e.task = task;
       e.instance = r->instance;
       e.t0 = e.t1 = obs_->now();
-      e.arg = static_cast<std::int64_t>(got);
+      e.arg = static_cast<std::int64_t>(asked);
       e.arg2 = static_cast<std::int64_t>(wpages);
       obs_->record(e);
     }
@@ -279,7 +277,8 @@ std::size_t PageCache::writeback(int rid, int task) {
   std::lock_guard<std::mutex> lk(mu_);
   Region* r = region_locked(rid);
   // Read before the msync: it is what the msync writes.
-  const std::size_t bytes = r->seg->dirty_bytes().value_or(r->seg->size());
+  const std::size_t bytes =
+      r->seg->dirty_bytes(0, r->seg->size()).value_or(r->seg->size());
   r->seg->sync(0, r->seg->size(), /*blocking=*/true);
   count_writeback_locked(*r, bytes, r->npages, task);
   return bytes;
@@ -300,7 +299,7 @@ void PageCache::rebaseline(int rid, const TierScan* published) {
     std::copy(published->crcs.begin(), published->crcs.end(),
               r->base_crc.begin());
   } else {
-    scan_locked(*r, 0, r->npages, nullptr, r->base_crc.data());
+    scan_locked(*r, nullptr, r->base_crc.data());
   }
   std::fill(r->noted.begin(), r->noted.end(), 0);
 }

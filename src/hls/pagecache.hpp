@@ -6,14 +6,17 @@
 // give is *managed* I/O, and that is this layer's job (the bbThemis bulk
 // pattern):
 //
-//  - read-ahead: a cold touch bulk-preads a window of pages through the
-//    kept-open fd. The pread's real product is the KERNEL page cache — a
+//  - read-ahead: a cold touch hints the kernel (readahead(2) on the
+//    kept-open fd) to read a window of pages; nothing is copied into
+//    process memory. The hint's product is the KERNEL page cache — a
 //    node-local resource — so one rank's pre-read of shared input makes
 //    every co-resident rank's later fault a memory hit. Our resident
 //    bitmap mirrors that state and prices touches as hits/misses.
 //  - pool pressure: a fixed budget of resident pages across all regions;
 //    exceeding it evicts the least-recently-touched page (written back
-//    first when dirty, then MADV_DONTNEED) — the out-of-core bound.
+//    first when the kernel holds it dirty, then MADV_DONTNEED) — the
+//    out-of-core bound. A touch longer than the pool reads ahead only
+//    its trailing pool_pages: the rest it would evict itself.
 //  - write-back: the kernel tracks which file pages were stored to, so
 //    writeback() is one blocking msync over the region that hashes
 //    nothing and reports the kernel's own dirty count (cachestat(2)).
@@ -73,8 +76,10 @@ class PageCache {
   /// the bench gate read these).
   struct Stats {
     std::uint64_t hits = 0;        ///< touched pages found resident
-    std::uint64_t misses = 0;      ///< touched pages faulted in
-    std::uint64_t prereads = 0;    ///< bulk read-ahead operations issued
+    std::uint64_t misses = 0;      ///< touched pages not resident
+    std::uint64_t prereads = 0;    ///< read-ahead hints issued
+    /// Bytes those hints asked of the kernel, each window clipped to the
+    /// backing file's size at the time (a hint past EOF reads nothing).
     std::uint64_t preread_bytes = 0;
     std::uint64_t writebacks = 0;  ///< msyncs: region flushes + evictions
     std::uint64_t writeback_bytes = 0;  ///< bytes those msyncs wrote
@@ -90,8 +95,10 @@ class PageCache {
 
   /// Price the access of [offset, offset+len): resident pages count as
   /// hits; each run of non-resident pages counts misses and issues one
-  /// bulk read-ahead (extended to read_ahead_pages). May evict under pool
-  /// pressure. `task` labels obs counters/events.
+  /// read-ahead hint (extended to read_ahead_pages, never beyond
+  /// pool_pages). Of a range longer than the pool only the trailing
+  /// pool_pages are read ahead; the leading misses are priced, not read.
+  /// May evict under pool pressure. `task` labels obs counters/events.
   void touch(int rid, std::size_t offset, std::size_t len, int task = -1);
 
   /// Hint that [offset, offset+len) was (or will be) written — marks the
@@ -128,14 +135,11 @@ class PageCache {
   void count_writeback_locked(const Region& r, std::size_t bytes,
                               std::size_t pages, int task);
   void writeback_page_locked(Region& r, std::size_t page, int task);
-  /// The one dirty-tracking pass over pages [first, end) of `r`: hashes
-  /// each page at most once. With `crcs`, every page is hashed and its
-  /// CRC stored at crcs[p - first]; without, hinted pages (dirty whatever
-  /// their content) are not hashed. `dirty`, when given, receives 0/1 per
-  /// page. Returns the number of dirty pages.
-  std::size_t scan_locked(const Region& r, std::size_t first,
-                          std::size_t end, unsigned char* dirty,
-                          std::uint32_t* crcs) const;
+  /// The one dirty-tracking pass over `r`: hashes each page once and
+  /// stores its CRC at crcs[p]. `dirty`, when given, receives 0/1 per
+  /// page (content differs from the baseline, or a note_write hint).
+  void scan_locked(const Region& r, unsigned char* dirty,
+                   std::uint32_t* crcs) const;
   /// scan_locked() over the whole region, folded into maximal spans.
   std::vector<std::pair<std::size_t, std::size_t>> spans_locked(
       const Region& r, std::uint32_t* crcs) const;
@@ -148,7 +152,6 @@ class PageCache {
   std::size_t resident_pages_ = 0;
   std::uint64_t tick_ = 0;
   mutable Stats stats_;  // const scans still count hashed_pages
-  std::vector<unsigned char> scratch_;  ///< reused read-ahead buffer
 };
 
 }  // namespace hlsmpc::hls

@@ -85,7 +85,8 @@ StorageManager::Resolved StorageManager::materialize(ModuleRegion& region,
                                                      int module, int sid,
                                                      int instance,
                                                      ult::TaskContext* ctx,
-                                                     bool* did_init) {
+                                                     bool* did_init,
+                                                     const Writer* fill) {
   const Module& m = reg_->module(module);  // throws if not committed
   // Window between losing the fast path and claiming the init lock: the
   // deterministic checker schedules through here so racing first touches
@@ -109,6 +110,15 @@ StorageManager::Resolved StorageManager::materialize(ModuleRegion& region,
                          ") failed: out of memory",
                      ErrorCode::out_of_memory);
     }
+    const auto initialize = [&](std::byte* b) {
+      if (fill != nullptr) {
+        (*fill)(b);
+        return;
+      }
+      for (const VarInfo& v : m.vars) {
+        if (v.canonical == scope && v.init) v.init(b + v.offset);
+      }
+    };
     bool reopened = false;
     const Tier tier = tier_policy(sid, module);
     if (tier != Tier::anonymous) {
@@ -145,11 +155,7 @@ StorageManager::Resolved StorageManager::materialize(ModuleRegion& region,
       }
       base = static_cast<std::byte*>(region.file->base());
       reopened = tier == Tier::file_backed && region.file->reopened();
-      if (!reopened) {
-        for (const VarInfo& v : m.vars) {
-          if (v.canonical == scope && v.init) v.init(base + v.offset);
-        }
-      }
+      if (!reopened || fill != nullptr) initialize(base);
       region.tier = tier;
       region.cache_rid = cache_->attach(region.file.get(), sid, instance);
       if (obs_ != nullptr) {
@@ -168,14 +174,9 @@ StorageManager::Resolved StorageManager::materialize(ModuleRegion& region,
     } else {
       region.mem =
           memtrack::Buffer(*tracker_, memtrack::Category::hls_shared, bytes);
-      for (const VarInfo& v : m.vars) {
-        if (v.canonical == scope && v.init) {
-          v.init(region.mem.data() + v.offset);
-        }
-      }
       base = region.mem.data();
+      initialize(base);
     }
-    (void)reopened;
     region.bytes = bytes;
     // Publish last: a reader that acquires a non-null base sees the fully
     // initialized (or re-opened) region contents and `bytes`.
@@ -187,7 +188,7 @@ StorageManager::Resolved StorageManager::materialize(ModuleRegion& region,
 
 StorageManager::Resolved StorageManager::resolve_at(
     const CanonicalScope& scope, int module, int cpu, ult::TaskContext* ctx,
-    ModuleRegion** out_region) {
+    ModuleRegion** out_region, const Writer* fill, bool* did_init_out) {
   const topo::DenseScopeTable& t = reg_->scopes();
   const int sid = scope_id(t, scope);
   const int inst = t.instance_of(sid, cpu);
@@ -200,7 +201,8 @@ StorageManager::Resolved StorageManager::resolve_at(
   const std::uint64_t obs_t0 = obs_ != nullptr ? obs_->now() : 0;
   bool did_init = false;
   const Resolved r =
-      materialize(region, scope, module, sid, inst, ctx, &did_init);
+      materialize(region, scope, module, sid, inst, ctx, &did_init, fill);
+  if (did_init_out != nullptr) *did_init_out = did_init;
   // Only the task that actually initialized the region counts a first
   // touch; racers that waited on init_mu resolved, not materialized.
   if (did_init && obs_ != nullptr) {
@@ -280,13 +282,24 @@ void StorageManager::for_each_materialized(
 }
 
 void StorageManager::import_region(const CanonicalScope& scope, int instance,
-                                   int module, const void* data,
-                                   std::size_t bytes) {
+                                   int module, std::size_t offset,
+                                   std::size_t bytes, const Writer& write) {
   const topo::DenseScopeTable& t = reg_->scopes();
   const int sid = scope_id(t, scope);
   if (instance < 0 || instance >= t.num_instances(sid)) {
     throw HlsError("import_region: instance " + std::to_string(instance) +
-                   " out of range for scope " + to_string(scope));
+                   " out of range for scope " + to_string(scope) +
+                   " — machine layout changed");
+  }
+  // Checked against the layout before anything materializes.
+  const std::size_t size = reg_->module(module).region_size(scope);
+  if (offset > size || bytes > size - offset) {
+    throw HlsError("import_region: span [" + std::to_string(offset) + ", +" +
+                       std::to_string(bytes) + ") exceeds the " +
+                       std::to_string(size) + "-byte region of module " +
+                       std::to_string(module) + " at scope " +
+                       to_string(scope) + " — module layout changed",
+                   ErrorCode::corruption);
   }
   // resolve() keys materialization by cpu; any cpu of the instance names
   // the same region.
@@ -301,55 +314,12 @@ void StorageManager::import_region(const CanonicalScope& scope, int instance,
     throw HlsError("import_region: scope instance contains no cpus");
   }
   ModuleRegion* region = nullptr;
-  const Resolved r = resolve_at(scope, module, cpu, nullptr, &region);
-  if (r.size != bytes) {
-    throw HlsError("import_region: checkpoint payload of " +
-                       std::to_string(bytes) + " bytes does not match the " +
-                       std::to_string(r.size) + "-byte region of module " +
-                       std::to_string(module) + " at scope " +
-                       to_string(scope) + " — module layout changed",
-                   ErrorCode::corruption);
-  }
-  if (bytes > 0) std::memcpy(r.base, data, bytes);
-  if (region->cache_rid >= 0 && bytes > 0) {
-    cache_->note_write(region->cache_rid, 0, bytes);
-  }
-}
-
-void StorageManager::import_region_range(const CanonicalScope& scope,
-                                         int instance, int module,
-                                         std::size_t offset, const void* data,
-                                         std::size_t bytes) {
-  const topo::DenseScopeTable& t = reg_->scopes();
-  const int sid = scope_id(t, scope);
-  if (instance < 0 || instance >= t.num_instances(sid)) {
-    throw HlsError("import_region_range: instance " +
-                   std::to_string(instance) + " out of range for scope " +
-                   to_string(scope));
-  }
-  int cpu = -1;
-  for (int c = 0; c < t.num_cpus(); ++c) {
-    if (t.instance_of(sid, c) == instance) {
-      cpu = c;
-      break;
-    }
-  }
-  if (cpu < 0) {
-    throw HlsError("import_region_range: scope instance contains no cpus");
-  }
-  ModuleRegion* region = nullptr;
-  const Resolved r = resolve_at(scope, module, cpu, nullptr, &region);
-  if (offset > r.size || bytes > r.size - offset) {
-    throw HlsError("import_region_range: span [" + std::to_string(offset) +
-                       ", +" + std::to_string(bytes) +
-                       ") exceeds the " + std::to_string(r.size) +
-                       "-byte region of module " + std::to_string(module) +
-                       " at scope " + to_string(scope) +
-                       " — module layout changed",
-                   ErrorCode::corruption);
-  }
-  if (bytes > 0) std::memcpy(r.base + offset, data, bytes);
-  if (region->cache_rid >= 0 && bytes > 0) {
+  const Writer* fill = offset == 0 && bytes == size ? &write : nullptr;
+  bool materialized = false;
+  const Resolved r =
+      resolve_at(scope, module, cpu, nullptr, &region, fill, &materialized);
+  if (fill == nullptr || !materialized) write(r.base + offset);
+  if (region->cache_rid >= 0) {
     cache_->note_write(region->cache_rid, offset, bytes);
   }
 }

@@ -98,14 +98,19 @@ class StorageManager {
       const CanonicalScope& scope,
       const std::function<void(int instance, int module, Resolved)>& fn) const;
 
-  /// Checkpoint-restore hook: materialize (scope, instance, module) — as
-  /// a first touch, initializers and all, if the region was never resolved
-  /// — then overwrite its payload with `bytes` bytes from `data`. Throws
-  /// HlsError(corruption) when `bytes` differs from the module's region
-  /// size for `scope`: the checkpoint was taken against a different module
-  /// layout and importing it would tear the region.
+  /// Checkpoint-restore hook: overwrite [offset, offset + bytes) of the
+  /// (scope, instance, module) region with what `write(dst)` stores at
+  /// dst (exactly those bytes). A region never resolved is materialized
+  /// first: when the range covers it whole, `write` takes the place of
+  /// the module initializers — whose output it would overwrite anyway —
+  /// and runs before the region is published; otherwise initializers run
+  /// as on any first touch. Throws HlsError(corruption) when the range
+  /// exceeds the region: the checkpoint was taken against a different
+  /// module layout and importing it would tear the region.
+  using Writer = std::function<void(std::byte* dst)>;
   void import_region(const CanonicalScope& scope, int instance, int module,
-                     const void* data, std::size_t bytes);
+                     std::size_t offset, std::size_t bytes,
+                     const Writer& write);
 
   /// Bytes currently materialized for HLS storage (all scopes/instances).
   /// Anonymous (DRAM-charged) regions only: file-tier regions are paged
@@ -149,14 +154,6 @@ class StorageManager {
   /// file-tier region materializes.
   PageCache* page_cache() { return cache_.get(); }
 
-  /// Byte-range variant of import_region (incremental-checkpoint
-  /// restore): materialize if needed, then overwrite
-  /// [offset, offset + bytes). Throws HlsError(corruption) when the range
-  /// exceeds the region.
-  void import_region_range(const CanonicalScope& scope, int instance,
-                           int module, std::size_t offset, const void* data,
-                           std::size_t bytes);
-
  private:
   struct ModuleRegion {
     std::atomic<std::byte*> base{nullptr};  ///< published last (release)
@@ -182,13 +179,19 @@ class StorageManager {
   };
 
   ModuleRegion& region_slot(InstanceStorage& st, int module);
+  /// First touch of `region`: allocate or map it, then fill it — by
+  /// `fill` when given, else by the module initializers — and publish.
   Resolved materialize(ModuleRegion& region, const CanonicalScope& scope,
                        int module, int sid, int instance,
-                       ult::TaskContext* ctx, bool* did_init);
+                       ult::TaskContext* ctx, bool* did_init,
+                       const Writer* fill);
   /// resolve() plus the region slot, for callers that need the tier
-  /// bookkeeping (page-cache touches) behind the Resolved.
+  /// bookkeeping (page-cache touches) behind the Resolved. `fill` and
+  /// `did_init` as for materialize(); did_init stays false when the
+  /// region was already published.
   Resolved resolve_at(const CanonicalScope& scope, int module, int cpu,
-                      ult::TaskContext* ctx, ModuleRegion** out_region);
+                      ult::TaskContext* ctx, ModuleRegion** out_region,
+                      const Writer* fill = nullptr, bool* did_init = nullptr);
   Tier tier_policy(int sid, int module) const;
   /// Region of (sid, instance, module) if materialized, else nullptr.
   ModuleRegion* find_region(int sid, int instance, int module) const;

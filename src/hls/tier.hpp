@@ -6,7 +6,7 @@
 // ("MPI Windows on Storage" shows the pattern costs little for
 // out-of-core access): the kernel pages the mapping against an SSD/tmpfs
 // file, a node-local page cache (hls/pagecache.hpp) fronts the file with
-// bulk read-ahead and one-msync write-backs, and a file_backed region
+// read-ahead hints and one-msync write-backs, and a file_backed region
 // names a stable path, so the data survives process restart and re-opens
 // bit-identical through hls_get_addr.
 //
@@ -70,9 +70,10 @@ struct TierConfig {
   /// Exceeding it evicts least-recently-touched pages (dirty ones are
   /// written back first). This is what bounds DRAM for out-of-core runs.
   std::size_t pool_pages = 1024;
-  /// Pages pulled per miss: one cold touch bulk-reads this window so the
-  /// pre-read serves the touching rank's neighbours and every co-resident
-  /// rank that follows.
+  /// Pages read ahead per miss: one cold touch asks the kernel to read
+  /// this window (readahead(2), at most pool_pages) so the pre-read
+  /// serves the touching rank's neighbours and every co-resident rank
+  /// that follows.
   std::size_t read_ahead_pages = 8;
 };
 

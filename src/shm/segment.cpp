@@ -318,12 +318,14 @@ void MappedSegment::sync(std::size_t offset, std::size_t len,
   }
 }
 
-std::optional<std::size_t> MappedSegment::dirty_bytes() const {
+std::optional<std::size_t> MappedSegment::dirty_bytes(std::size_t offset,
+                                                      std::size_t len) const {
+  if (len == 0) return 0;  // cachestat reads len 0 as "to the end"
   // cachestat(2) (Linux 6.5) is newer than the libc and kernel headers
   // this builds against: its number (the same on every architecture from
   // 424 on) and structs as in the kernel's uapi <linux/mman.h>.
   constexpr long kSysCachestat = 451;
-  struct { std::uint64_t off, len; } range{0, size_};
+  struct { std::uint64_t off, len; } range{offset, len};
   struct {
     std::uint64_t nr_cache, nr_dirty, nr_writeback, nr_evicted, nr_recent;
   } cs{};

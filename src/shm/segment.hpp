@@ -112,9 +112,9 @@ class NamedSegment {
 ///    so a scope written before exit re-opens bit-identical after restart.
 ///
 /// The fd stays open for the lifetime of the mapping: the page cache uses
-/// it for bulk pread read-ahead (one rank's pre-read populates the kernel
-/// page cache for every co-resident rank) and sync() uses msync for
-/// durability.
+/// it for read-ahead hints (one rank's hint populates the kernel page
+/// cache for every co-resident rank) and dirty_bytes() for cachestat;
+/// sync() uses msync for durability.
 class MappedSegment {
  public:
   /// Map `path` at kernel-chosen address. A pre-existing file of exactly
@@ -139,10 +139,12 @@ class MappedSegment {
   /// non-blocking schedules the write-back (MS_ASYNC).
   void sync(std::size_t offset, std::size_t len, bool blocking) const;
 
-  /// Bytes of the file the kernel holds dirty or under write-back, by
-  /// cachestat(2) — what a blocking sync() of the whole file writes.
-  /// nullopt where the kernel has no cachestat (before Linux 6.5).
-  std::optional<std::size_t> dirty_bytes() const;
+  /// Bytes of the file's pages overlapping [offset, offset+len) that the
+  /// kernel holds dirty or under write-back, by cachestat(2) — what a
+  /// blocking sync() of that range writes. nullopt where the kernel has no
+  /// cachestat (before Linux 6.5).
+  std::optional<std::size_t> dirty_bytes(std::size_t offset,
+                                         std::size_t len) const;
 
   /// Tell the kernel the range's pages need not stay resident
   /// (madvise MADV_DONTNEED — safe for a shared file mapping: dropped

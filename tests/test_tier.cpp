@@ -29,6 +29,12 @@
 //    pages whose bytes differ (memcmp) from the previous version's
 //    restored image, a delta save hashes each page once, and a
 //    note_write racing a save keeps its page in the next delta.
+//  - memory against the kernel's accounting (/proc/self/status): a cold
+//    resolve of a region 16x the pool copies nothing into anonymous
+//    memory (a touch longer than the pool reads ahead only the pages it
+//    keeps), and a restore never holds the version file and the region
+//    it fills resident at once — nor runs the initializer of a region
+//    it overwrites whole.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -36,6 +42,7 @@
 #include <linux/magic.h>
 #include <sys/stat.h>
 #include <sys/statfs.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -416,7 +423,8 @@ TEST(PageCache, PrereadCountsBytesActuallyRead) {
   const int rid = pc.attach(&seg);
 
   // The backing file shrinks under the cache: the 4-page read-ahead
-  // window now ends past EOF and pread stops short.
+  // window now ends past EOF, and only the part within it is asked of
+  // the kernel.
   const std::size_t short_size = 2 * kPage + 100;
   ASSERT_EQ(::ftruncate(seg.fd(), static_cast<off_t>(short_size)), 0);
   std::vector<char> probe(4 * kPage);
@@ -430,6 +438,38 @@ TEST(PageCache, PrereadCountsBytesActuallyRead) {
   EXPECT_EQ(rec.snapshot().value(obs::Counter::tier_preread_bytes),
             static_cast<std::uint64_t>(n));
   ASSERT_EQ(::ftruncate(seg.fd(), static_cast<off_t>(8 * kPage)), 0);
+}
+
+TEST(PageCache, TouchLongerThanThePoolReadsOnlyWhatItKeeps) {
+  const std::string dir = fresh_dir("hls_tier_pc_long");
+  shm::MappedSegment seg(dir + "/seg", 16 * kPage);
+  hls::TierConfig cfg = small_pages(dir);
+  cfg.pool_pages = 4;
+  cfg.read_ahead_pages = 2;
+  hls::PageCache pc(cfg);
+  const int rid = pc.attach(&seg);
+
+  // One cold touch of all 16 pages: every page is a miss, but only the
+  // trailing pool's worth is read ahead — LRU would evict the rest before
+  // the touch returns, so nothing is read only to be dropped.
+  pc.touch(rid, 0, 16 * kPage, /*task=*/0);
+  hls::PageCache::Stats s = pc.stats();
+  EXPECT_EQ(s.misses, 16u);
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_LE(s.preread_bytes, cfg.pool_pages * kPage);
+  EXPECT_GT(s.preread_bytes, 0u);
+
+  // The resident set is the trailing pool: the last page hits, page 0
+  // (priced, never read) misses.
+  pc.touch(rid, 15 * kPage, 1, /*task=*/0);
+  s = pc.stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 16u);
+  pc.touch(rid, 0, 1, /*task=*/0);
+  s = pc.stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 17u);
 }
 
 TEST(PageCache, AdoptedScanIsTheNextBaseline) {
@@ -942,9 +982,11 @@ TEST(TierRuntime, DeltaSpansMatchMemcmpGroundTruthOverRandomRounds) {
       std::vector<std::uint8_t> flipped(live[0] + page * kPage,
                                         live[0] + page * kPage + 64);
       for (auto& b : flipped) b ^= 0xA5;
-      t.rt.storage().import_region_range(t.h.scope, 0, t.h.module,
-                                         page * kPage, flipped.data(),
-                                         flipped.size());
+      t.rt.storage().import_region(
+          t.h.scope, 0, t.h.module, page * kPage, flipped.size(),
+          [&](std::byte* dst) {
+            std::memcpy(dst, flipped.data(), flipped.size());
+          });
     }
     if (round % 2 == 1) t.rt.tier_flush();  // moves neither hints nor epochs
 
@@ -1013,4 +1055,196 @@ TEST(TierRuntime, SoftwareCrcTrailerStillRestores) {
     }
   }
   EXPECT_EQ(changed, 1u);
+}
+
+TEST(TierRuntime, RestoreSkipsTheInitializerOfARegionItOverwritesWhole) {
+  static std::atomic<int> inits{0};
+  const auto register_counted = [](hls::Runtime& rt) {
+    hls::ModuleBuilder mb(rt.registry(), "counted");
+    auto blob = hls::add_array<std::uint8_t>(
+        mb, "blob", 4 * kPage, topo::node_scope(),
+        [](std::uint8_t* p, std::size_t n) {
+          inits.fetch_add(1);
+          std::memset(p, 0x11, n);
+        });
+    mb.commit();
+    rt.storage().set_tier(blob.handle().scope, hls::Tier::file_backed);
+    return blob.handle();
+  };
+  const topo::Machine m = topo::Machine::nehalem_ex(2);
+  const std::string ckpt_dir = fresh_dir("hls_tier_noinit_ckpt");
+  hls::CheckpointStore store({ckpt_dir});
+  {
+    hls::Runtime rt(m, 1, {.tier = small_pages(fresh_dir("hls_tier_noinit"))});
+    const hls::VarHandle h = register_counted(rt);
+    auto* p = static_cast<std::uint8_t*>(rt.storage().get_addr(h, 0));
+    for (std::size_t i = 0; i < h.size; ++i) p[i] = pattern(0, i, 4);
+    store.save(rt.storage(), rt.registry(), h.scope);
+  }
+  ASSERT_EQ(inits.load(), 1);
+
+  // A full version overwrites the region whole: restore materializes it
+  // with the checkpoint's bytes in place of the initializer's.
+  hls::Runtime rt2(m, 1, {.tier = small_pages(fresh_dir("hls_tier_noinit2"))});
+  const hls::VarHandle h2 = register_counted(rt2);
+  store.restore(rt2.storage(), rt2.registry(), h2.scope);
+  EXPECT_EQ(inits.load(), 1);
+  const auto* q = static_cast<const std::uint8_t*>(rt2.storage().get_addr(h2, 0));
+  for (std::size_t i = 0; i < h2.size; ++i) {
+    ASSERT_EQ(q[i], pattern(0, i, 4)) << "byte " << i;
+  }
+
+  // A span covering part of a fresh region: the rest is the
+  // initializer's, so it runs first.
+  hls::Runtime rt3(m, 1, {.tier = small_pages(fresh_dir("hls_tier_noinit3"))});
+  const hls::VarHandle h3 = register_counted(rt3);
+  rt3.storage().import_region(h3.scope, 0, h3.module, kPage, 8,
+                              [](std::byte* dst) { std::memset(dst, 0x22, 8); });
+  EXPECT_EQ(inits.load(), 2);
+  const auto* r = static_cast<const std::uint8_t*>(rt3.storage().get_addr(h3, 0));
+  EXPECT_EQ(r[0], 0x11);
+  EXPECT_EQ(r[kPage], 0x22);
+  EXPECT_EQ(r[kPage + 8], 0x11);
+}
+
+// ---- memory footprint against the kernel's own accounting -------------
+//
+// The tier's claim is that DRAM holds the region's pages once: in the
+// kernel page cache, mapped by the region. These check that claim with
+// /proc/self/status, not with the cache's bookkeeping.
+
+namespace {
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// A /proc/self/status field ("VmHWM", "VmRSS", "RssAnon") in bytes.
+std::size_t status_bytes(const std::string& field) {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) throw std::runtime_error("cannot open /proc/self/status");
+  char line[256];
+  std::size_t kib = 0;
+  bool found = false;
+  while (!found && std::fgets(line, sizeof(line), f) != nullptr) {
+    found = std::strncmp(line, (field + ":").c_str(), field.size() + 1) == 0 &&
+            std::sscanf(line + field.size() + 1, "%zu", &kib) == 1;
+  }
+  std::fclose(f);
+  if (!found) throw std::runtime_error("no " + field + " in /proc/self/status");
+  return kib * 1024;
+}
+
+constexpr std::size_t kBigPage = 64 * 1024;
+
+hls::Runtime::Options big_pages(const std::string& dir) {
+  hls::Runtime::Options o;
+  o.tier.dir = dir;
+  o.tier.page_bytes = kBigPage;
+  o.tier.pool_pages = 16;       // 1 MiB
+  o.tier.read_ahead_pages = 8;  // 512 KiB
+  return o;
+}
+
+hls::VarHandle register_words(hls::Runtime& rt, std::size_t bytes) {
+  hls::ModuleBuilder mb(rt.registry(), "big");
+  auto h = hls::add_array<std::uint64_t>(
+      mb, "words", bytes / sizeof(std::uint64_t), topo::node_scope(),
+      [](std::uint64_t* p, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) p[i] = ~i;
+      });
+  mb.commit();
+  rt.storage().set_tier(h.handle().scope, hls::Tier::file_backed);
+  return h.handle();
+}
+
+std::uint64_t restored_word(std::size_t i) { return i * 0x9E3779B97F4A7C15ull; }
+
+}  // namespace
+
+TEST(TierMemory, ColdResolveOfARegionSixteenPoolsLongCopiesNothing) {
+  const std::string dir = fresh_dir("hls_tier_mem_cold");
+  const hls::Runtime::Options o = big_pages(dir);
+  const std::size_t pool = o.tier.pool_pages * kBigPage;
+  const std::size_t window = o.tier.read_ahead_pages * kBigPage;
+  constexpr std::size_t kRegion = std::size_t{16} << 20;  // 16 pools
+  hls::Runtime rt(topo::Machine::nehalem_ex(2), 1, o);
+  const hls::VarHandle h = register_words(rt, kRegion);
+  // Materialized first: the mapping and its initializer are file pages.
+  rt.storage().resolve(h.scope, h.module, 0);
+
+  // The cold, whole-range resolve a task's first get_addr performs. The
+  // read-ahead is the kernel's business: no anonymous copy of the region
+  // (nor of any window of it) may appear in this process.
+  const std::size_t anon0 = status_bytes("RssAnon");
+  ASSERT_NE(rt.storage().get_addr(h, 0), nullptr);
+  const std::size_t anon1 = status_bytes("RssAnon");
+  const std::size_t grown = anon1 > anon0 ? anon1 - anon0 : 0;
+  EXPECT_LT(grown, pool + window)
+      << "RssAnon grew by " << grown << " bytes over a cold resolve";
+  EXPECT_EQ(rt.storage().page_cache()->stats().misses, kRegion / kBigPage);
+}
+
+TEST(TierMemory, RestoreNeverHoldsTheCheckpointAndTheRegionAtOnce) {
+  if (kSanitized) {
+    GTEST_SKIP() << "sanitizer shadow memory inflates VmHWM";
+  }
+  constexpr std::size_t kRegion = std::size_t{32} << 20;
+  const topo::Machine m = topo::Machine::nehalem_ex(2);
+  const std::string ckpt_dir = fresh_dir("hls_tier_mem_ckpt");
+
+  // A child writes the checkpoint: filling 32 MiB here would raise this
+  // process's VmHWM before the measured restore starts.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0) << std::strerror(errno);
+  if (pid == 0) {
+    int rc = 1;
+    try {
+      hls::Runtime rt(m, 1, big_pages(fresh_dir("hls_tier_mem_src")));
+      const hls::VarHandle h = register_words(rt, kRegion);
+      auto* w = static_cast<std::uint64_t*>(rt.storage().get_addr(h, 0));
+      for (std::size_t i = 0; i < kRegion / sizeof(std::uint64_t); ++i) {
+        w[i] = restored_word(i);
+      }
+      hls::CheckpointStore store({ckpt_dir});
+      store.save(rt.storage(), rt.registry(), h.scope);
+      rc = 0;
+    } catch (...) {
+    }
+    ::_exit(rc);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "checkpoint writer failed, status " << status;
+
+  hls::Runtime rt(m, 1, big_pages(fresh_dir("hls_tier_mem_dst")));
+  const hls::VarHandle h = register_words(rt, kRegion);
+  hls::CheckpointStore store({ckpt_dir});
+  const std::size_t rss0 = status_bytes("VmRSS");
+  const std::size_t hwm0 = status_bytes("VmHWM");
+  if (hwm0 > rss0 + kRegion / 2) {
+    GTEST_SKIP() << "VmHWM already " << (hwm0 - rss0)
+                 << " bytes above VmRSS: a restore peak would not show";
+  }
+  store.restore(rt.storage(), rt.registry(), h.scope);
+  const std::size_t peak = status_bytes("VmHWM") - rss0;
+  // The region's pages once, plus a bounded streaming window — never the
+  // version file and the region together.
+  EXPECT_LE(peak, kRegion + kRegion / 4)
+      << "restore raised the peak RSS by " << peak << " bytes";
+
+  const auto* w =
+      static_cast<const std::uint64_t*>(rt.storage().get_addr(h, 0));
+  for (std::size_t i = 0; i < kRegion / sizeof(std::uint64_t); ++i) {
+    ASSERT_EQ(w[i], restored_word(i)) << "word " << i;
+  }
 }
