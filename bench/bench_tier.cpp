@@ -15,10 +15,11 @@
 //   - BM_PrereadVsPread: the cold pre-read of a 4 MiB file-backed
 //     region must deliver at least 0.5x the bandwidth of raw pread over
 //     the same bytes (counter preread_bw_ratio_best, tier bandwidth over
-//     raw bandwidth). The pre-read is a readahead(2) hint plus residency
-//     bookkeeping and copies nothing, so with the file warm in the page
-//     cache it reads far above 1; the bound catches a return to copying
-//     through a buffer that costs more than twice the raw read.
+//     raw bandwidth). The touch prices pages by mincore(2) and hints
+//     readahead(2) only for uncached runs; it copies nothing, so with the
+//     file warm in the page cache it reads far above 1; the bound catches
+//     a return to copying through a buffer that costs more than twice the
+//     raw read.
 //
 // The committed BENCH_tier.json baseline holds only the bandwidth-bound
 // 4 MiB pre-read/pread points cross-run; the warm get_addr points are
@@ -119,11 +120,11 @@ BENCHMARK(BM_WarmGetAddrVsAnon)->Arg(4 << 20)->UseManualTime()->Iterations(1);
 
 // ---- cold pre-read bandwidth ----
 
-/// Seconds to pre-read one cold `bytes` file-backed region. A fresh
-/// runtime re-opens the backing file each rep; resolve() materializes it
-/// (mapping + baseline capture) untimed. The timed full-range get_addr
-/// then prices every page of the region as a miss and issues one
-/// read-ahead hint over all of it (the region fits the default pool).
+/// Seconds for the first access of one `bytes` file-backed region. A
+/// fresh runtime re-opens the backing file each rep; resolve()
+/// materializes it (the mapping) untimed. The timed full-range get_addr
+/// then prices every page by the kernel's residency: the file is warm,
+/// so every page is a hit and no read-ahead is asked.
 double tier_preread_seconds(const topo::Machine& m,
                             const hls::Runtime::Options& o,
                             std::size_t bytes) {

@@ -2,7 +2,6 @@
 
 #include <dirent.h>
 #include <fcntl.h>
-#include <signal.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -17,17 +16,11 @@
 #include <utility>
 
 #include "fault/injector.hpp"
+#include "shm/segment.hpp"
 
 namespace hlsmpc::hls {
 
 namespace {
-
-// Mirrors shm/segment.cpp's liveness probe for pid-stamped temporaries.
-// Local copy on purpose: hls does not always link against shm (the tier
-// kill switch decides), and the probe is two lines.
-bool process_alive(long pid) {
-  return kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH;
-}
 
 constexpr char kMagic[8] = {'H', 'L', 'S', 'C', 'K', 'P', 'T', '1'};
 // Format 2 added kind/base_version to the file header and a byte offset
@@ -391,7 +384,7 @@ int CheckpointStore::cleanup_stale_tmp() const {
     char* end = nullptr;
     const long pid = std::strtol(digits.c_str(), &end, 10);
     if (end != digits.c_str() + digits.size() || pid <= 0) continue;
-    if (process_alive(pid)) continue;
+    if (shm::process_alive(pid)) continue;
     if (::unlink((opts_.dir + "/" + name).c_str()) == 0) ++removed;
   }
   ::closedir(dir);

@@ -170,24 +170,6 @@ std::uint64_t Runtime::restore(CheckpointStore& store,
   return rep.version;
 }
 
-CanonicalScope Runtime::common_scope(
-    std::initializer_list<VarHandle> vars) const {
-  if (vars.size() == 0) {
-    throw HlsError("single: empty variable list");
-  }
-  const CanonicalScope first = vars.begin()->scope;
-  for (const VarHandle& h : vars) {
-    if (!h.valid()) throw HlsError("single: invalid variable handle");
-    if (!(h.scope == first)) {
-      throw HlsError(
-          "single: variables with different HLS scopes in one directive (" +
-          to_string(first) + " vs " + to_string(h.scope) +
-          ") — the compiler rejects this (paper §II.B.2)");
-    }
-  }
-  return first;
-}
-
 CanonicalScope Runtime::widest_scope(
     std::initializer_list<VarHandle> vars) const {
   if (vars.size() == 0) {

@@ -255,9 +255,6 @@ class Runtime {
   /// version restored.
   std::uint64_t restore(CheckpointStore& store, const topo::ScopeSpec& scope);
 
-  /// Scope shared by all variables of the list (throws if mixed: the
-  /// paper's "same HLS scope" compile-time check for single).
-  CanonicalScope common_scope(std::initializer_list<VarHandle> vars) const;
   /// Widest scope of the list (for barrier).
   CanonicalScope widest_scope(std::initializer_list<VarHandle> vars) const;
 

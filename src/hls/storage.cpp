@@ -239,9 +239,9 @@ StorageManager::Resolved StorageManager::resolve_accessed(
                    "module region");
   }
   // File-tier regions price every storage-routed access through the page
-  // cache (hits/misses, read-ahead, eviction). The per-task warm path in
-  // Runtime::get_addr never reaches here — by design, so warm resolution
-  // stays identical to the anonymous tier.
+  // cache (hits/misses by the kernel's residency, read-ahead). The
+  // per-task warm path in Runtime::get_addr never reaches here — by
+  // design, so warm resolution stays identical to the anonymous tier.
   if (region->cache_rid >= 0) {
     cache_->touch(region->cache_rid, offset, size == 0 ? 1 : size,
                   ctx != nullptr ? ctx->task_id() : -1);
@@ -319,9 +319,6 @@ void StorageManager::import_region(const CanonicalScope& scope, int instance,
   const Resolved r =
       resolve_at(scope, module, cpu, nullptr, &region, fill, &materialized);
   if (fill == nullptr || !materialized) write(r.base + offset);
-  if (region->cache_rid >= 0) {
-    cache_->note_write(region->cache_rid, offset, bytes);
-  }
 }
 
 std::size_t StorageManager::bytes_allocated() const {

@@ -61,14 +61,14 @@ struct TierConfig {
   /// regions live at "<dir>/<file_prefix>.<scope>.i<instance>.m<module>";
   /// spill regions at "<dir>/hlsmpc.<file_prefix>.<pid>.<seq>".
   std::string file_prefix = "tier";
-  /// Page-cache granularity: residency, dirty tracking, and read-ahead
-  /// are per page of this many bytes. Must be a power of two and a
-  /// multiple of the system page size in practice; 64 KiB balances
+  /// Page-cache granularity: hit/miss pricing, dirty tracking, and
+  /// read-ahead are per page of this many bytes. Must be a power of two
+  /// and a multiple of the system page size in practice; 64 KiB balances
   /// bookkeeping against I/O batching.
   std::size_t page_bytes = 64 * 1024;
-  /// Resident-page budget across all file-tier regions of one manager.
-  /// Exceeding it evicts least-recently-touched pages (dirty ones are
-  /// written back first). This is what bounds DRAM for out-of-core runs.
+  /// The most one touch reads ahead: of a longer touch only the trailing
+  /// pool_pages are hinted to the kernel. Residency itself is the
+  /// kernel's page cache's, which nothing here bounds.
   std::size_t pool_pages = 1024;
   /// Pages read ahead per miss: one cold touch asks the kernel to read
   /// this window (readahead(2), at most pool_pages) so the pre-read

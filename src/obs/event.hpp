@@ -54,12 +54,13 @@ enum class Counter : int {
   ckpt_bytes,           ///< bytes written to / read from scope checkpoints
   tier_spills,          ///< module regions materialized on the storage tier
                         ///< (file-backed / spill instead of anonymous DRAM)
-  tier_cache_hits,      ///< storage-tier page-cache touches served resident
-  tier_cache_misses,    ///< storage-tier page-cache touches that faulted a
-                        ///< page in (each miss triggers a bulk read-ahead)
+  tier_cache_hits,      ///< storage-tier pages touched that the kernel's
+                        ///< page cache held (mincore)
+  tier_cache_misses,    ///< storage-tier pages touched that it did not
+                        ///< (a run of them triggers a bulk read-ahead)
   tier_preread_bytes,   ///< bytes bulk-read from backing files on misses
   tier_writeback_bytes, ///< bytes written back to backing files (what the
-                        ///< kernel held dirty at a flush; evicted pages)
+                        ///< kernel held dirty at a flush)
   wait_spin_completions,  ///< request waits the bounded spin satisfied
   wait_parks,             ///< request waits that fell through to the
                           ///< mutex/condvar park
@@ -106,8 +107,8 @@ enum class EventKind : std::uint8_t {
   tier_preread, ///< one bulk read-ahead: a page-cache miss pulled a window
                 ///< of pages from the backing file (arg = bytes read,
                 ///< arg2 = pages)
-  tier_writeback,  ///< one msync of a region flush or evicted page
-                   ///< (arg = bytes written, arg2 = pages covered)
+  tier_writeback,  ///< one msync of a region flush (arg = bytes
+                   ///< written, arg2 = tier pages covered)
 };
 
 const char* to_string(EventKind k);

@@ -58,10 +58,6 @@ long embedded_pid(const std::string& basename, const std::string& prefix) {
   return pid;
 }
 
-bool process_alive(long pid) {
-  return kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH;
-}
-
 int open_retry(const char* path, int flags, mode_t mode) {
   int fd;
   do {
@@ -89,6 +85,10 @@ bool name_refers_to(const std::string& name, int fd) {
 }
 
 }  // namespace
+
+bool process_alive(long pid) {
+  return kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH;
+}
 
 AnonymousSegment::AnonymousSegment(std::size_t bytes) : size_(bytes) {
   void* p = MAP_FAILED;
@@ -318,31 +318,18 @@ void MappedSegment::sync(std::size_t offset, std::size_t len,
   }
 }
 
-std::optional<std::size_t> MappedSegment::dirty_bytes(std::size_t offset,
-                                                      std::size_t len) const {
-  if (len == 0) return 0;  // cachestat reads len 0 as "to the end"
+std::optional<std::size_t> MappedSegment::dirty_bytes() const {
   // cachestat(2) (Linux 6.5) is newer than the libc and kernel headers
   // this builds against: its number (the same on every architecture from
   // 424 on) and structs as in the kernel's uapi <linux/mman.h>.
   constexpr long kSysCachestat = 451;
-  struct { std::uint64_t off, len; } range{offset, len};
+  struct { std::uint64_t off, len; } range{0, 0};  // len 0: to the end
   struct {
     std::uint64_t nr_cache, nr_dirty, nr_writeback, nr_evicted, nr_recent;
   } cs{};
   if (syscall(kSysCachestat, fd_, &range, &cs, 0) != 0) return std::nullopt;
   return static_cast<std::size_t>(cs.nr_dirty + cs.nr_writeback) *
          page_size();
-}
-
-void MappedSegment::drop(std::size_t offset, std::size_t len) const {
-  if (base_ == nullptr || len == 0 || offset >= size_) return;
-  // Shrink inward to page boundaries: never evict a page the caller only
-  // partially named (it may still be pinned by a neighbouring range).
-  const std::size_t page = page_size();
-  const std::size_t begin = (offset + page - 1) & ~(page - 1);
-  const std::size_t end = std::min(offset + len, size_) & ~(page - 1);
-  if (begin >= end) return;
-  madvise(static_cast<char*>(base_) + begin, end - begin, MADV_DONTNEED);
 }
 
 std::string MappedSegment::unique_path(const std::string& dir,

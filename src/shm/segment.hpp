@@ -27,6 +27,10 @@
 
 namespace hlsmpc::shm {
 
+/// False once the process `pid` is gone (kill(pid, 0) reports ESRCH) —
+/// the liveness probe behind every reclaim of a pid-stamped name.
+bool process_alive(long pid);
+
 class ShmError : public std::runtime_error {
  public:
   explicit ShmError(const std::string& what,
@@ -106,8 +110,8 @@ class NamedSegment {
 /// meant to be attached by other processes at the same address within one
 /// run; it trades that for two properties anonymous memory cannot give:
 ///  - out-of-core capacity: the kernel pages the mapping against the file,
-///    so a region can exceed DRAM and the page-cache layer above decides
-///    what stays resident (drop());
+///    so a region can exceed DRAM; what stays resident is the kernel's
+///    page cache's business;
 ///  - persistence: the file names a stable path that survives the process,
 ///    so a scope written before exit re-opens bit-identical after restart.
 ///
@@ -139,18 +143,11 @@ class MappedSegment {
   /// non-blocking schedules the write-back (MS_ASYNC).
   void sync(std::size_t offset, std::size_t len, bool blocking) const;
 
-  /// Bytes of the file's pages overlapping [offset, offset+len) that the
-  /// kernel holds dirty or under write-back, by cachestat(2) — what a
-  /// blocking sync() of that range writes. nullopt where the kernel has no
-  /// cachestat (before Linux 6.5).
-  std::optional<std::size_t> dirty_bytes(std::size_t offset,
-                                         std::size_t len) const;
-
-  /// Tell the kernel the range's pages need not stay resident
-  /// (madvise MADV_DONTNEED — safe for a shared file mapping: dropped
-  /// dirty pages are written back, a later touch faults them back in).
-  /// This is the page cache's eviction primitive.
-  void drop(std::size_t offset, std::size_t len) const;
+  /// Bytes of the file's pages that the kernel holds dirty or under
+  /// write-back, by cachestat(2) — what a blocking sync() of the whole
+  /// mapping writes. nullopt where the kernel has no cachestat (before
+  /// Linux 6.5).
+  std::optional<std::size_t> dirty_bytes() const;
 
   /// Collision-safe spill path "<dir>/hlsmpc.<prefix>.<pid>.<seq>" —
   /// same shape as NamedSegment::unique_name so cleanup_stale below can
