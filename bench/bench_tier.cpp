@@ -1,7 +1,8 @@
-// Storage-tier benchmarks: what the file tier costs when it is warm, and
-// whether the bulk pre-read earns its keep on a cold region.
+// Storage-tier benchmarks: what the file tier costs when it is warm,
+// whether the bulk pre-read earns its keep on a cold region, and what the
+// checkpoint's dirty-tracking pass costs against one plain CRC.
 //
-// Two acceptance bounds, both declared in BENCH_tier.json's gate as
+// Three acceptance bounds, all declared in BENCH_tier.json's gate as
 // within-run ratios in the bench_recover style (interleaved reps, gate
 // on each side's MINIMUM — external load only ever inflates a
 // measurement, so the min over several interleaved reps is the
@@ -15,11 +16,18 @@
 //   - BM_PrereadVsPread: the cold pre-read of a 4 MiB file-backed
 //     region must deliver at least 0.5x the bandwidth of raw pread over
 //     the same bytes (counter preread_bw_ratio_best, tier bandwidth over
-//     raw bandwidth). The touch prices pages by mincore(2) and hints
-//     readahead(2) only for uncached runs; it copies nothing, so with the
-//     file warm in the page cache it reads far above 1; the bound catches
-//     a return to copying through a buffer that costs more than twice the
-//     raw read.
+//     raw bandwidth). Both files' pages are dropped from the kernel's
+//     page cache before every rep (counter cold_misses: the pages the
+//     timed touch found uncached, in its least cold rep). The touch
+//     prices pages by mincore(2) and hints readahead(2) for the uncached
+//     runs; it copies nothing, so the bound catches a return to copying
+//     through a buffer that costs more than twice the raw read.
+//   - BM_TierScan: PageCache::scan of a 64 MiB file-tier region must take
+//     at most 1.1x one serial crc32c over the same mapping (counter
+//     scan_vs_crc_ratio, reported with the scan's share count in
+//     scan_shares). On one usable CPU the scan is serial and reads about
+//     1; with more it splits across helper threads and reads well below.
+//     The bound catches helper overhead that a split does not pay back.
 //
 // The committed BENCH_tier.json baseline holds only the bandwidth-bound
 // 4 MiB pre-read/pread points cross-run; the warm get_addr points are
@@ -32,11 +40,15 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "hls/crc32c.hpp"
 #include "hls/hls.hpp"
+#include "hls/pagecache.hpp"
+#include "shm/segment.hpp"
 #include "topo/topology.hpp"
 #include "ult/scheduler.hpp"
 
@@ -120,14 +132,29 @@ BENCHMARK(BM_WarmGetAddrVsAnon)->Arg(4 << 20)->UseManualTime()->Iterations(1);
 
 // ---- cold pre-read bandwidth ----
 
-/// Seconds for the first access of one `bytes` file-backed region. A
-/// fresh runtime re-opens the backing file each rep; resolve()
+/// Writes back and drops every cached page of the file at `path`
+/// (fdatasync, the file-descriptor form of msync, then
+/// POSIX_FADV_DONTNEED): the next read of it goes to the disk.
+void drop_cached(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0 || ::fdatasync(fd) != 0 ||
+      ::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED) != 0) {
+    std::abort();
+  }
+  ::close(fd);
+}
+
+/// Seconds for the first access of one `bytes` file-backed region, whose
+/// backing file is the one regular file of o.tier.dir besides `raw_path`.
+/// Its pages are dropped first; a fresh runtime re-opens it and resolve()
 /// materializes it (the mapping) untimed. The timed full-range get_addr
-/// then prices every page by the kernel's residency: the file is warm,
-/// so every page is a hit and no read-ahead is asked.
+/// prices every page by the kernel's residency and hints read-ahead for
+/// the uncached runs; `misses` receives the pages it priced uncached.
 double tier_preread_seconds(const topo::Machine& m,
                             const hls::Runtime::Options& o,
-                            std::size_t bytes) {
+                            std::size_t bytes, const std::string& tier_path,
+                            std::uint64_t& misses) {
+  drop_cached(tier_path);
   hls::Runtime rt(m, 1, o);
   const hls::VarHandle h = register_blob(rt, "tiered", bytes);
   rt.storage().set_module_tier(h.scope, h.module, hls::Tier::file_backed);
@@ -136,21 +163,24 @@ double tier_preread_seconds(const topo::Machine& m,
   ex.run(1, {0}, [&](TaskContext& ctx) {
     rt.bind_task(ctx);
     rt.storage().resolve(h.scope, h.module, 0, &ctx);
+    const std::uint64_t m0 = rt.storage().page_cache()->stats().misses;
     const auto t0 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(
         rt.storage().get_addr(h.scope, h.module, 0, bytes, 0, &ctx));
     const auto t1 = std::chrono::steady_clock::now();
     sec = std::chrono::duration<double>(t1 - t0).count();
+    misses = rt.storage().page_cache()->stats().misses - m0;
   });
   return sec;
 }
 
 /// Seconds to pread the same byte count from a plain file into a
 /// full-size buffer, in read-ahead window sized chunks at their real
-/// offsets — the raw cost the pre-read is priced against (same bytes,
-/// same destination footprint).
+/// offsets, after dropping its cached pages — the raw cost the pre-read
+/// is priced against (same bytes, same destination footprint).
 double raw_pread_seconds(const std::string& path, std::size_t bytes,
                          std::size_t chunk, std::vector<unsigned char>& buf) {
+  drop_cached(path);
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) std::abort();
   const auto t0 = std::chrono::steady_clock::now();
@@ -170,9 +200,9 @@ double raw_pread_seconds(const std::string& path, std::size_t bytes,
 /// The gated bound, interleaved rep by rep: cold-region pre-read
 /// bandwidth vs raw pread bandwidth over the same payload, ratio of the
 /// per-side minimum times. Setup writes the backing file once (through
-/// the tier, flushed) and a plain comparison file of the same size; both
-/// sit warm in the kernel page cache, so the ratio compares the tier's
-/// read machinery against the bare syscall, not disk against disk.
+/// the tier, flushed) and a plain comparison file of the same size; each
+/// rep drops the file it reads from the kernel page cache first, so both
+/// sides start cold.
 void BM_PrereadVsPread(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
   constexpr int kReps = 9;
@@ -204,26 +234,83 @@ void BM_PrereadVsPread(benchmark::State& state) {
     }
     ::close(fd);
   }
+  std::string tier_path;
+  for (const auto& e : std::filesystem::directory_iterator(o.tier.dir)) {
+    if (e.path() != raw_path) tier_path = e.path();
+  }
   const std::size_t chunk = o.tier.page_bytes * o.tier.read_ahead_pages;
   std::vector<unsigned char> buf(bytes);
   for (auto _ : state) {
     double raw_min = std::numeric_limits<double>::infinity();
     double tier_min = std::numeric_limits<double>::infinity();
+    std::uint64_t cold_misses = std::numeric_limits<std::uint64_t>::max();
     for (int rep = 0; rep < kReps; ++rep) {
       raw_min = std::min(raw_min, raw_pread_seconds(raw_path, bytes, chunk,
                                                     buf));
-      tier_min = std::min(tier_min, tier_preread_seconds(m, o, bytes));
+      std::uint64_t misses = 0;
+      tier_min = std::min(
+          tier_min, tier_preread_seconds(m, o, bytes, tier_path, misses));
+      cold_misses = std::min(cold_misses, misses);
     }
     state.SetIterationTime(tier_min);
     state.counters["preread_us"] = benchmark::Counter(tier_min * 1e6);
     state.counters["pread_us"] = benchmark::Counter(raw_min * 1e6);
     state.counters["preread_bw_ratio_best"] =
         benchmark::Counter(raw_min / tier_min);
+    state.counters["cold_misses"] =
+        benchmark::Counter(static_cast<double>(cold_misses));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_PrereadVsPread)->Arg(4 << 20)->UseManualTime()->Iterations(1);
+
+// ---- the checkpoint's dirty-tracking pass ----
+
+/// The gated bound, interleaved rep by rep: one PageCache::scan of a
+/// `bytes` file-tier region (64 KiB pages, baselines taken) vs one serial
+/// crc32c over the same mapping, ratio of the per-side minimum times.
+/// The region is written whole first, so both sides hash cached pages.
+void BM_TierScan(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  constexpr int kReps = 9;
+  hls::TierConfig cfg;
+  cfg.dir = fresh_dir("bench_tier_scan");
+  shm::MappedSegment seg(cfg.dir + "/seg", bytes);
+  auto* p = static_cast<unsigned char*>(seg.base());
+  for (std::size_t i = 0; i < bytes; ++i) {
+    p[i] = static_cast<unsigned char>(i * 31 + 7);
+  }
+  hls::PageCache pc(cfg);
+  const int rid = pc.attach(&seg);
+  pc.rebaseline(rid);
+  for (auto _ : state) {
+    double scan_min = std::numeric_limits<double>::infinity();
+    double crc_min = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < kReps; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(pc.scan(rid));
+      const auto t1 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(hls::crc32c(p, bytes));
+      const auto t2 = std::chrono::steady_clock::now();
+      scan_min =
+          std::min(scan_min, std::chrono::duration<double>(t1 - t0).count());
+      crc_min =
+          std::min(crc_min, std::chrono::duration<double>(t2 - t1).count());
+    }
+    state.SetIterationTime(scan_min);
+    state.counters["scan_us"] = benchmark::Counter(scan_min * 1e6);
+    state.counters["crc_us"] = benchmark::Counter(crc_min * 1e6);
+    state.counters["scan_vs_crc_ratio"] =
+        benchmark::Counter(scan_min / crc_min);
+    state.counters["scan_shares"] =
+        benchmark::Counter(static_cast<double>(pc.scan_shares(bytes)));
+  }
+  std::filesystem::remove_all(cfg.dir);  // the 64 MiB file
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_TierScan)->Arg(64 << 20)->UseManualTime()->Iterations(1);
 
 }  // namespace
 

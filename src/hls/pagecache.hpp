@@ -26,7 +26,10 @@
 //    no baselines until its first rebaseline(): until then it is changed
 //    whole. Every query is one locked scan that hashes each page at most
 //    once; a delta save hands its scan back to rebaseline(), which
-//    installs those CRCs instead of hashing the region again.
+//    installs those CRCs instead of hashing the region again. A scan of a
+//    region of 8 MiB or more runs on several threads: the caller and up
+//    to one helper per further usable CPU each hash a contiguous share of
+//    at least 4 MiB, and the caller joins them before it returns.
 //
 // Coherence: the cache never mediates data visibility (the mapping is the
 // single copy everyone addresses); tasks synchronize region contents with
@@ -34,7 +37,9 @@
 //
 // Concurrency: one mutex over the bookkeeping. touch() runs on the COLD
 // resolve path only (warm get_addr never reaches the StorageManager), so
-// the lock is not on any hot path.
+// the lock is not on any hot path. A scan's helper threads run under
+// the caller's lock and take none themselves; they never outlive the
+// scan.
 #pragma once
 
 #include "hls/tier.hpp"
@@ -112,6 +117,11 @@ class PageCache {
   /// from its adopted CRC, so it lands in the next delta.
   void rebaseline(int rid, const TierScan* published = nullptr);
 
+  /// Threads one scan of a `region_bytes` region hashes on: at most one
+  /// per 4 MiB of region and one per page, and no more than the usable
+  /// CPUs. The caller's thread is one of them.
+  std::size_t scan_shares(std::size_t region_bytes) const;
+
   Stats stats() const;
 
  private:
@@ -119,7 +129,10 @@ class PageCache {
 
   /// The one dirty-tracking pass over `r`: hashes each page once and
   /// stores its CRC at crcs[p]. `dirty`, when given, receives 0/1 per
-  /// page (content differs from the baseline, or there is none).
+  /// page (content differs from the baseline, or there is none). The
+  /// pages are cut into scan_shares() contiguous shares; helper threads
+  /// started for this pass hash all but the first, which the caller
+  /// hashes before it joins them.
   void scan_locked(const Region& r, unsigned char* dirty,
                    std::uint32_t* crcs) const;
   Region* region_locked(int rid) const;

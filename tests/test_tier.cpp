@@ -30,7 +30,9 @@
 //    pages whose bytes differ (memcmp) from the previous version's
 //    restored image, a delta save hashes each page once, a write racing
 //    a save keeps its page in the next delta, materializing a region
-//    hashes nothing and a restore hashes each region once.
+//    hashes nothing and a restore hashes each region once; a scan split
+//    across helper threads returns the serial CRC of every page, and
+//    one whose helper cannot start hashes the share itself.
 //  - memory against the kernel's accounting (/proc/self/status): a cold
 //    resolve of a region 16x the pool copies nothing into anonymous
 //    memory (a touch longer than the pool reads ahead only its trailing
@@ -283,6 +285,49 @@ std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+/// A region that PageCache::scan splits into at least three shares (one
+/// per 4 MiB) where the CPUs allow, in 64 KiB pages with a short last one.
+constexpr std::size_t kScanPage = 64 * 1024;
+constexpr std::size_t kScanRegion = (std::size_t{16} << 20) + 1000;
+
+/// Ground truth for a scan of `seg` in `page`-byte pages, computed
+/// serially: every page's CRC-32C, and the maximal spans of pages whose
+/// bytes differ (memcmp) from `before` — every page when it is empty.
+hls::TierScan serial_scan(const shm::MappedSegment& seg, std::size_t page,
+                          const std::vector<unsigned char>& before) {
+  const auto* p = static_cast<const unsigned char*>(seg.base());
+  const std::size_t size = seg.size();
+  hls::TierScan want;
+  for (std::size_t off = 0; off < size; off += page) {
+    const std::size_t len = std::min(page, size - off);
+    want.crcs.push_back(hls::crc32c(p + off, len));
+    if (!before.empty() && std::memcmp(p + off, before.data() + off, len) == 0) {
+      continue;
+    }
+    if (!want.spans.empty() &&
+        want.spans.back().first + want.spans.back().second == off) {
+      want.spans.back().second += len;
+    } else {
+      want.spans.emplace_back(off, len);
+    }
+  }
+  return want;
+}
+
+/// `n` raw stores of 1..64 random bytes at random offsets of `seg`, plus
+/// one to its last byte (the short last page).
+void random_stores(shm::MappedSegment& seg, std::mt19937_64& rng, int n) {
+  auto* p = static_cast<unsigned char*>(seg.base());
+  for (int i = 0; i < n; ++i) {
+    const std::size_t len = 1 + rng() % 64;
+    const std::size_t off = rng() % (seg.size() - len + 1);
+    for (std::size_t b = 0; b < len; ++b) {
+      p[off + b] = static_cast<unsigned char>(rng());
+    }
+  }
+  p[seg.size() - 1] ^= 0x5A;
+}
+
 }  // namespace
 
 // ---- CRC-32C ---------------------------------------------------------
@@ -335,6 +380,26 @@ TEST(Crc32c, BlockBoundariesAndSplitChains) {
       const std::size_t cut = n / 3 + off;
       ASSERT_EQ(hls::crc32c(p + cut, n - cut, hls::crc32c(p, cut)), whole)
           << "offset " << off << " len " << n << " cut " << cut;
+    }
+  }
+}
+
+TEST(Crc32c, ThreeChainsMatchOneBufferAtATime) {
+  // Lengths around the 8-byte word, at each alignment, and one page.
+  const std::vector<unsigned char> buf = random_bytes(3 * 65536 + 64, 3);
+  for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                          std::size_t{8}, std::size_t{9}, std::size_t{63},
+                          std::size_t{257}, std::size_t{65536}}) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      const unsigned char* p[3] = {buf.data() + off,
+                                   buf.data() + off + len + 5,
+                                   buf.data() + off + 2 * len + 13};
+      std::uint32_t got[3];
+      hls::crc32c_x3(p, len, got);
+      for (int k = 0; k < 3; ++k) {
+        EXPECT_EQ(got[k], crc_sw(p[k], len))
+            << "len " << len << " off " << off << " chain " << k;
+      }
     }
   }
 }
@@ -593,6 +658,90 @@ TEST(PageCache, WriteBetweenScanAndAdoptKeepsPageInNextDelta) {
   }
   ASSERT_EQ(want.size(), 1u);
   EXPECT_EQ(pc.scan(rid).spans, want);
+}
+
+TEST(PageCache, ParallelScanMatchesSerialCrcOfEveryPage) {
+  const std::string dir = fresh_dir("hls_tier_pc_parallel");
+  shm::MappedSegment seg(dir + "/seg", kScanRegion);
+  hls::TierConfig cfg = small_pages(dir);
+  cfg.page_bytes = kScanPage;
+  hls::PageCache pc(cfg);
+  const int rid = pc.attach(&seg);
+  const std::size_t npages = (kScanRegion + kScanPage - 1) / kScanPage;
+  const auto* p = static_cast<const unsigned char*>(seg.base());
+  std::mt19937_64 rng(25);
+  std::printf("scan shares: %zu\n", pc.scan_shares(kScanRegion));
+
+  // Checks one scan against the serial ground truth over `before`; the
+  // pass hashes every page once.
+  const auto check = [&](const std::vector<unsigned char>& before,
+                         const char* when) {
+    SCOPED_TRACE(when);
+    const hls::TierScan want = serial_scan(seg, kScanPage, before);
+    const std::uint64_t h0 = pc.stats().hashed_pages;
+    const hls::TierScan got = pc.scan(rid);
+    EXPECT_EQ(pc.stats().hashed_pages - h0, npages);
+    EXPECT_EQ(got.crcs, want.crcs);
+    EXPECT_EQ(got.spans, want.spans);
+    EXPECT_FALSE(want.spans.empty());
+    return got;
+  };
+
+  // No baselines yet: one whole-region span.
+  random_stores(seg, rng, 200);
+  const hls::TierScan first = check({}, "before the first rebaseline");
+  ASSERT_EQ(first.spans.size(), 1u);
+
+  // After adopting a published scan.
+  pc.rebaseline(rid, &first);
+  std::vector<unsigned char> image(p, p + kScanRegion);
+  random_stores(seg, rng, 40);
+  check(image, "after rebaseline(published)");
+
+  // After a rebaseline that hashes the region itself.
+  pc.rebaseline(rid);
+  image.assign(p, p + kScanRegion);
+  random_stores(seg, rng, 40);
+  check(image, "after rebaseline()");
+}
+
+TEST(PageCache, ScanWhoseHelperCannotStartHashesEveryPageOnce) {
+  if (ult::ThreadCensus::usable_cpus() < 2) {
+    GTEST_SKIP() << "one usable CPU: a scan starts no helper";
+  }
+  const std::string dir = fresh_dir("hls_tier_pc_helper_fault");
+  shm::MappedSegment seg(dir + "/seg", kScanRegion);
+  hls::TierConfig cfg = small_pages(dir);
+  cfg.page_bytes = kScanPage;
+  hls::PageCache pc(cfg);
+  const int rid = pc.attach(&seg);
+  const std::size_t npages = (kScanRegion + kScanPage - 1) / kScanPage;
+  const auto* p = static_cast<const unsigned char*>(seg.base());
+  std::mt19937_64 rng(26);
+  random_stores(seg, rng, 200);
+  pc.rebaseline(rid);
+  const std::vector<unsigned char> image(p, p + kScanRegion);
+  random_stores(seg, rng, 40);
+  const hls::TierScan want = serial_scan(seg, kScanPage, image);
+
+  // The nth helper the scan starts fails: helpers start from the last
+  // share down, so the caller hashes that share and every one below it.
+  const std::size_t helpers = pc.scan_shares(kScanRegion) - 1;
+  ASSERT_GE(helpers, 1u);
+  for (std::size_t nth = 1; nth <= helpers; ++nth) {
+    SCOPED_TRACE("helper " + std::to_string(nth) + " fails to start");
+    hlsmpc::fault::FaultInjector inj;
+    hlsmpc::fault::ScopedFaultInjection installed(inj);
+    inj.arm("tier:scan_helper", nth);
+    const std::uint64_t h0 = pc.stats().hashed_pages;
+    hls::TierScan got;
+    EXPECT_NO_THROW(got = pc.scan(rid));
+    EXPECT_EQ(inj.fired("tier:scan_helper"), 1u);
+    EXPECT_EQ(inj.hits("tier:scan_helper"), nth);
+    EXPECT_EQ(pc.stats().hashed_pages - h0, npages);
+    EXPECT_EQ(got.crcs, want.crcs);
+    EXPECT_EQ(got.spans, want.spans);
+  }
 }
 
 // ---- the persistence substrate ---------------------------------------
