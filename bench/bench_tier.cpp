@@ -25,9 +25,17 @@
 //   - BM_TierScan: PageCache::scan of a 64 MiB file-tier region must take
 //     at most 1.1x one serial crc32c over the same mapping (counter
 //     scan_vs_crc_ratio, reported with the scan's share count in
-//     scan_shares). On one usable CPU the scan is serial and reads about
-//     1; with more it splits across helper threads and reads well below.
-//     The bound catches helper overhead that a split does not pay back.
+//     scan_shares). The kernel's write bits are refused (fault site
+//     tier:uffd), so every scan is the full pass. On one usable CPU it
+//     is serial and reads about 1; with more it splits across helper
+//     threads and reads well below. The bound catches helper overhead
+//     that a split does not pay back.
+//   - BM_TierScanDelta: a delta scan of a 64 MiB region after the
+//     tier_ckpt interval's writes (4 x 256 KiB) must hash at most 4 tier
+//     pages per page written (counter hashed_per_written; scan_us times
+//     it). The kernel's write-protect bits name the candidates; the
+//     bound catches a drain that stops narrowing them. Where the host
+//     refuses the bits the scan hashes every page and the bound fails.
 //
 // The committed BENCH_tier.json baseline holds only the bandwidth-bound
 // 4 MiB pre-read/pread points cross-run; the warm get_addr points are
@@ -40,11 +48,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "fault/injector.hpp"
 #include "hls/crc32c.hpp"
 #include "hls/hls.hpp"
 #include "hls/pagecache.hpp"
@@ -271,9 +281,13 @@ BENCHMARK(BM_PrereadVsPread)->Arg(4 << 20)->UseManualTime()->Iterations(1);
 /// `bytes` file-tier region (64 KiB pages, baselines taken) vs one serial
 /// crc32c over the same mapping, ratio of the per-side minimum times.
 /// The region is written whole first, so both sides hash cached pages.
+/// The kernel's write bits are refused: every scan hashes every page.
 void BM_TierScan(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
   constexpr int kReps = 9;
+  fault::FaultInjector full_pass_only;
+  fault::ScopedFaultInjection installed(full_pass_only);
+  full_pass_only.arm_always("tier:uffd");
   hls::TierConfig cfg;
   cfg.dir = fresh_dir("bench_tier_scan");
   shm::MappedSegment seg(cfg.dir + "/seg", bytes);
@@ -311,6 +325,64 @@ void BM_TierScan(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_TierScan)->Arg(64 << 20)->UseManualTime()->Iterations(1);
+
+/// The gated bound: tier pages one delta scan hashes per tier page
+/// written, in tier_ckpt's shape — a `bytes` region in 64 KiB pages,
+/// four 256 KiB slices rewritten per interval, then the flush's msync,
+/// the scan and its adoption. The ratio is the worst of kReps intervals,
+/// scan_us the fastest scan.
+void BM_TierScanDelta(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  constexpr int kReps = 9;
+  constexpr std::size_t kSlice = 256 * 1024;
+  constexpr std::size_t kSlices = 4;
+  hls::TierConfig cfg;
+  cfg.dir = fresh_dir("bench_tier_scan_delta");
+  shm::MappedSegment seg(cfg.dir + "/seg", bytes);
+  auto* p = static_cast<unsigned char*>(seg.base());
+  for (std::size_t i = 0; i < bytes; ++i) {
+    p[i] = static_cast<unsigned char>(i * 31 + 7);
+  }
+  hls::PageCache pc(cfg);
+  const int rid = pc.attach(&seg);
+  pc.writeback(rid);
+  pc.rebaseline(rid);
+  const std::size_t written = kSlices * kSlice / cfg.page_bytes;
+  int interval = 0;
+  for (auto _ : state) {
+    double scan_min = std::numeric_limits<double>::infinity();
+    double per_written = 0;
+    for (int rep = 0; rep < kReps; ++rep, ++interval) {
+      for (std::size_t s = 0; s < kSlices; ++s) {
+        const std::size_t off =
+            s * (bytes / kSlices) +
+            static_cast<std::size_t>(interval) % (bytes / kSlices / kSlice) *
+                kSlice;
+        std::memset(p + off, interval, kSlice);
+      }
+      pc.writeback(rid);
+      const std::uint64_t h0 = pc.stats().hashed_pages;
+      const auto t0 = std::chrono::steady_clock::now();
+      const hls::TierScan scan = pc.scan(rid);
+      const auto t1 = std::chrono::steady_clock::now();
+      pc.rebaseline(rid, &scan);
+      scan_min =
+          std::min(scan_min, std::chrono::duration<double>(t1 - t0).count());
+      per_written =
+          std::max(per_written, static_cast<double>(pc.stats().hashed_pages -
+                                                    h0) /
+                                    static_cast<double>(written));
+    }
+    state.SetIterationTime(scan_min);
+    state.counters["scan_us"] = benchmark::Counter(scan_min * 1e6);
+    state.counters["hashed_per_written"] = benchmark::Counter(per_written);
+  }
+  std::filesystem::remove_all(cfg.dir);
+}
+BENCHMARK(BM_TierScanDelta)
+    ->Arg(64 << 20)
+    ->UseManualTime()
+    ->Iterations(1);
 
 }  // namespace
 

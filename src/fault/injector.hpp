@@ -53,6 +53,11 @@
 //   tier:scan_helper     -    PageCache scan cannot start a helper
 //                             thread (std::system_error); the caller
 //                             hashes that share itself
+//   tier:uffd            -    PageCache's kernel write tracking is
+//                             refused: registering a region with the
+//                             userfaultfd, or one PAGEMAP_SCAN call of a
+//                             drain, fails; the region hashes every
+//                             page at every pass from then on
 //
 // Injection checks cost one relaxed atomic load when no injector is
 // installed, and sit on cold paths only (never on warm get_addr or the

@@ -1,8 +1,11 @@
 #include "hls/pagecache.hpp"
 
 #include <fcntl.h>
+#include <linux/userfaultfd.h>
+#include <sys/ioctl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -25,6 +28,14 @@ struct PageCache::Region {
   std::size_t npages = 0;
   /// Per-page CRC at the last rebaseline; empty before the first one.
   std::vector<std::uint32_t> base_crc;
+  /// Kernel write tracking: `armed` once registered with the cache's
+  /// userfaultfd, `refused` for good once a step failed.
+  enum class Bits { unarmed, armed, refused } bits = Bits::unarmed;
+  std::uint64_t drains = 0;      ///< drains of the kernel's bits so far
+  std::uint64_t base_drain = 0;  ///< drain base_crc was hashed after
+  /// Per page: the last drain that reported it written (0: none). The
+  /// candidates of a pass are the pages reported after base_drain.
+  std::vector<std::uint64_t> written_at;
 };
 
 namespace {
@@ -34,6 +45,52 @@ namespace {
 /// about 24 us, hashing 4 MiB about 240 us (4-vCPU Xeon VM), so a helper
 /// pays for itself about ten times over.
 constexpr std::size_t kScanShareBytes = std::size_t{4} << 20;
+
+// The userfaultfd write-protect and PAGEMAP_SCAN interface (Linux 6.7),
+// which the build's headers predate: declared here as the kernel's uapi
+// headers define them.
+constexpr std::uint64_t kUffdFeatureWpUnpopulated = 1u << 13;
+constexpr std::uint64_t kUffdFeatureWpAsync = 1u << 15;
+constexpr std::uint64_t kPmScanWpMatching = 1u << 0;
+constexpr std::uint64_t kPmScanCheckWpasync = 1u << 1;
+constexpr std::uint64_t kPageIsWritten = 1u << 1;
+
+struct PageRegion {  // struct page_region
+  std::uint64_t start;
+  std::uint64_t end;
+  std::uint64_t categories;
+};
+
+struct PmScanArg {  // struct pm_scan_arg
+  std::uint64_t size;
+  std::uint64_t flags;
+  std::uint64_t start;
+  std::uint64_t end;
+  std::uint64_t walk_end;
+  std::uint64_t vec;
+  std::uint64_t vec_len;
+  std::uint64_t max_pages;
+  std::uint64_t category_inverted;
+  std::uint64_t category_mask;
+  std::uint64_t category_anyof_mask;
+  std::uint64_t return_mask;
+};
+
+constexpr unsigned long kPagemapScan = _IOWR('f', 16, PmScanArg);
+
+/// Address ranges one PAGEMAP_SCAN call reports; a drain with more calls
+/// again from where the kernel stopped.
+constexpr std::size_t kScanRanges = 64;
+
+std::size_t sys_page_bytes() {
+  return static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/// The bytes of `seg`'s mapping: its size rounded up to system pages.
+std::size_t mapped_bytes(const shm::MappedSegment& seg) {
+  const std::size_t sys = sys_page_bytes();
+  return (seg.size() + sys - 1) / sys * sys;
+}
 
 std::size_t page_span(std::size_t page_bytes, std::size_t region_bytes,
                       std::size_t page) {
@@ -72,8 +129,7 @@ class Residency {
   }
 
   const shm::MappedSegment& seg_;
-  const std::size_t sys_page_ =
-      static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t sys_page_ = sys_page_bytes();
   unsigned char vec_[kPiece];
   std::size_t lo_ = 0;
   std::size_t hi_ = 0;
@@ -94,7 +150,10 @@ PageCache::PageCache(TierConfig cfg, obs::Recorder* obs)
   if (cfg_.read_ahead_pages == 0) cfg_.read_ahead_pages = 1;
 }
 
-PageCache::~PageCache() = default;
+PageCache::~PageCache() {
+  if (uffd_ >= 0) ::close(uffd_);
+  if (pagemap_ >= 0) ::close(pagemap_);
+}
 
 PageCache::Region* PageCache::region_locked(int rid) const {
   if (rid < 0 || static_cast<std::size_t>(rid) >= regions_.size()) {
@@ -110,45 +169,127 @@ int PageCache::attach(shm::MappedSegment* seg, int sid, int instance) {
   const std::size_t npages =
       (seg->size() + cfg_.page_bytes - 1) / cfg_.page_bytes;
   std::lock_guard<std::mutex> lk(mu_);
-  regions_.push_back(
-      std::make_unique<Region>(Region{seg, sid, instance, npages, {}}));
+  auto r = std::make_unique<Region>();
+  r->seg = seg;
+  r->sid = sid;
+  r->instance = instance;
+  r->npages = npages;
+  regions_.push_back(std::move(r));
   return static_cast<int>(regions_.size() - 1);
 }
 
-void PageCache::scan_locked(const Region& r, unsigned char* dirty,
-                            std::uint32_t* crcs) const {
+bool PageCache::track_locked(Region& r) const {
+  if (r.bits == Region::Bits::refused) return false;
+  if (r.bits == Region::Bits::armed) {
+    // Inherited descriptors still name the arming process's memory.
+    if (::getpid() != uffd_pid_) return false;
+  } else {
+    if (uffd_ < 0 && !uffd_refused_) {
+      uffd_pid_ = ::getpid();
+      uffd_ = static_cast<int>(::syscall(
+          SYS_userfaultfd, O_CLOEXEC | O_NONBLOCK | UFFD_USER_MODE_ONLY));
+      uffdio_api api{};
+      api.api = UFFD_API;
+      api.features = kUffdFeatureWpAsync | kUffdFeatureWpUnpopulated;
+      if (uffd_ >= 0 && ::ioctl(uffd_, UFFDIO_API, &api) == 0) {
+        pagemap_ = ::open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC);
+      }
+      uffd_refused_ = pagemap_ < 0;
+    }
+    if (uffd_refused_ || ::getpid() != uffd_pid_) {
+      r.bits = Region::Bits::refused;
+      return false;
+    }
+    uffdio_register reg{};
+    reg.range.start = reinterpret_cast<std::uintptr_t>(r.seg->base());
+    reg.range.len = mapped_bytes(*r.seg);
+    reg.mode = UFFDIO_REGISTER_MODE_WP;
+    if (fault::should_fail("tier:uffd") ||
+        ::ioctl(uffd_, UFFDIO_REGISTER, &reg) != 0) {
+      r.bits = Region::Bits::refused;
+      return false;
+    }
+    r.bits = Region::Bits::armed;
+    r.written_at.assign(r.npages, 0);
+  }
+  // One drain: every page written since the last one, re-protected in the
+  // same call. A drain that fails part way has re-protected pages it
+  // could not hand over, so the region never trusts the bits again.
+  const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(r.seg->base());
+  PageRegion vec[kScanRanges];
+  PmScanArg arg{};
+  arg.size = sizeof(arg);
+  arg.flags = kPmScanWpMatching | kPmScanCheckWpasync;
+  arg.start = base;
+  arg.end = base + mapped_bytes(*r.seg);
+  arg.vec = reinterpret_cast<std::uintptr_t>(vec);
+  arg.vec_len = kScanRanges;
+  arg.category_mask = kPageIsWritten;
+  arg.return_mask = kPageIsWritten;
+  const std::uint64_t drain = ++r.drains;
+  while (arg.start < arg.end) {
+    const long n = fault::should_fail("tier:uffd")
+                       ? -1
+                       : ::ioctl(pagemap_, kPagemapScan, &arg);
+    if (n < 0 || arg.walk_end <= arg.start) {
+      r.bits = Region::Bits::refused;
+      return false;
+    }
+    for (long i = 0; i < n; ++i) {
+      const std::size_t first = (vec[i].start - base) / cfg_.page_bytes;
+      const std::size_t last = std::min(
+          (vec[i].end - 1 - base) / cfg_.page_bytes, r.npages - 1);
+      std::fill(r.written_at.begin() + static_cast<std::ptrdiff_t>(first),
+                r.written_at.begin() + static_cast<std::ptrdiff_t>(last) + 1,
+                drain);
+    }
+    arg.start = arg.walk_end;
+  }
+  return true;
+}
+
+void PageCache::scan_locked(const Region& r,
+                            const std::vector<std::size_t>* pages,
+                            unsigned char* dirty, std::uint32_t* crcs) const {
   const std::size_t pb = cfg_.page_bytes;
+  const std::size_t size = r.seg->size();
   const auto* base = static_cast<const unsigned char*>(r.seg->base());
+  const std::size_t n = pages != nullptr ? pages->size() : r.npages;
+  const auto page = [&](std::size_t i) {
+    return pages != nullptr ? (*pages)[i] : i;
+  };
   const auto mark = [&](std::size_t p, std::uint32_t c) {
     // `crcs` may alias base_crc (rebaseline): compare before storing.
     if (dirty != nullptr) dirty[p] = r.base_crc.empty() || c != r.base_crc[p];
     crcs[p] = c;
   };
-  // Hashes pages [lo, hi): whole pages three at a time, one CRC chain
-  // each, the rest one by one. Each share writes only its own slice of
-  // `dirty`/`crcs` and only reads base_crc.
+  // Hashes list positions [lo, hi): whole pages three at a time, one CRC
+  // chain each, the rest one by one. Each share writes only its own
+  // pages of `dirty`/`crcs` and only reads base_crc.
   const auto hash = [&](std::size_t lo, std::size_t hi) {
-    std::size_t p = lo;
-    for (; p + 3 <= hi && (p + 3) * pb <= r.seg->size(); p += 3) {
-      const unsigned char* pages[3] = {base + p * pb, base + (p + 1) * pb,
-                                       base + (p + 2) * pb};
+    std::size_t i = lo;
+    for (; i + 3 <= hi && (page(i + 2) + 1) * pb <= size; i += 3) {
+      const std::size_t p[3] = {page(i), page(i + 1), page(i + 2)};
+      const unsigned char* bufs[3] = {base + p[0] * pb, base + p[1] * pb,
+                                      base + p[2] * pb};
       std::uint32_t c[3];
-      crc32c_x3(pages, pb, c);
-      for (std::size_t k = 0; k < 3; ++k) mark(p + k, c[k]);
+      crc32c_x3(bufs, pb, c);
+      for (std::size_t k = 0; k < 3; ++k) mark(p[k], c[k]);
     }
-    for (; p < hi; ++p) {
-      mark(p, crc32c(base + p * pb, page_span(pb, r.seg->size(), p)));
+    for (; i < hi; ++i) {
+      const std::size_t p = page(i);
+      mark(p, crc32c(base + p * pb, page_span(pb, size, p)));
     }
   };
-  const std::size_t shares = scan_shares(r.seg->size());
+  const std::size_t shares = scan_shares(std::min(n * pb, size));
   // Helpers take the shares from the last one down, the caller hashes
-  // what is left from page 0. A helper that cannot start leaves its share
-  // and every one below it to the caller.
+  // what is left from position 0. A helper that cannot start leaves its
+  // share and every one below it to the caller.
   std::vector<std::thread> helpers;
   helpers.reserve(shares - 1);
-  std::size_t mine = r.npages;
+  std::size_t mine = n;
   for (std::size_t k = shares - 1; k > 0; --k) {
-    const std::size_t lo = r.npages * k / shares;
+    const std::size_t lo = n * k / shares;
     try {
       if (fault::should_fail("tier:scan_helper")) {
         throw std::system_error(
@@ -162,7 +303,13 @@ void PageCache::scan_locked(const Region& r, unsigned char* dirty,
   }
   hash(0, mine);
   for (std::thread& t : helpers) t.join();
-  stats_.hashed_pages += r.npages;
+  stats_.hashed_pages += n;
+  const bool full = pages == nullptr;
+  ++(full ? stats_.full_passes : stats_.tracked_passes);
+  if (obs_ != nullptr) {
+    obs_->count(0, full ? obs::Counter::tier_crc_full_passes
+                        : obs::Counter::tier_crc_tracked_passes);
+  }
 }
 
 void PageCache::touch(int rid, std::size_t offset, std::size_t len,
@@ -265,11 +412,23 @@ std::size_t PageCache::writeback(int rid, int task) {
 
 TierScan PageCache::scan(int rid) const {
   std::lock_guard<std::mutex> lk(mu_);
-  const Region* r = region_locked(rid);
+  Region* r = region_locked(rid);
   TierScan s;
   s.crcs.resize(r->npages);
   std::vector<unsigned char> dirty(r->npages);
-  scan_locked(*r, dirty.data(), s.crcs.data());
+  if (track_locked(*r) && !r->base_crc.empty()) {
+    // Only pages the kernel reported since the baselines' drain can
+    // differ from them; every other page keeps its baseline CRC.
+    std::vector<std::size_t> candidates;
+    for (std::size_t p = 0; p < r->npages; ++p) {
+      if (r->written_at[p] > r->base_drain) candidates.push_back(p);
+    }
+    s.crcs = r->base_crc;
+    scan_locked(*r, &candidates, dirty.data(), s.crcs.data());
+  } else {
+    scan_locked(*r, nullptr, dirty.data(), s.crcs.data());
+  }
+  s.drain = r->drains;
   // Fold dirty pages into maximal spans.
   std::size_t p = 0;
   while (p < r->npages) {
@@ -292,9 +451,14 @@ void PageCache::rebaseline(int rid, const TierScan* published) {
   Region* r = region_locked(rid);
   if (published != nullptr) {
     r->base_crc = published->crcs;
+    r->base_drain = published->drain;
   } else {
+    // Re-protect first, hash after: a store racing the pass is reported
+    // by the next drain whether or not the pass saw it.
+    track_locked(*r);
     r->base_crc.resize(r->npages);
-    scan_locked(*r, nullptr, r->base_crc.data());
+    scan_locked(*r, nullptr, nullptr, r->base_crc.data());
+    r->base_drain = r->drains;
   }
 }
 

@@ -18,18 +18,31 @@
 //    hashes nothing and reports the kernel's own dirty count
 //    (cachestat(2)).
 //  - dirty tracking: per-page CRC-32C baselines of the last checkpoint
-//    epoch. Content hashing is the only scheme that stays correct when
-//    tasks write through warm cached pointers that never re-enter the
-//    runtime. Baselines move only at rebaseline() — the checkpoint
-//    layer's epoch mark — so scan() is exactly "changed since the last
-//    checkpoint", which the kernel's dirty bits cannot tell. A region has
-//    no baselines until its first rebaseline(): until then it is changed
-//    whole. Every query is one locked scan that hashes each page at most
-//    once; a delta save hands its scan back to rebaseline(), which
-//    installs those CRCs instead of hashing the region again. A scan of a
-//    region of 8 MiB or more runs on several threads: the caller and up
-//    to one helper per further usable CPU each hash a contiguous share of
-//    at least 4 MiB, and the caller joins them before it returns.
+//    epoch. Content hashing stays correct when tasks write through warm
+//    cached pointers that never re-enter the runtime. Baselines move
+//    only at rebaseline() — the checkpoint layer's epoch mark — so scan()
+//    is exactly "changed since the last checkpoint". The page-cache dirty
+//    bit cannot tell that (msync clears it); the userfaultfd write-protect
+//    bit can, because only a drain here clears it. Each pass first drains
+//    those bits (PAGEMAP_SCAN, which re-protects what it reports) into
+//    per-page candidate marks, then hashes only the candidates: pages
+//    reported since the drain of the pass whose CRCs are the baselines.
+//    The kernel names a superset of the pages written, and the CRC
+//    decides among them, so spans and CRCs are those of hashing every
+//    page. A region has no baselines until its first rebaseline(): until
+//    then it is changed whole, and a pass without baselines, a full
+//    rebaseline(), and every pass where the kernel refuses the bits (no
+//    userfaultfd, a kernel before 6.7, seccomp, a failed drain — for good
+//    — or a process other than the one that armed them) hash every page.
+//    Every query is one locked pass that hashes each page at most once; a
+//    delta save hands its scan back to rebaseline(), which installs those
+//    CRCs instead of hashing again. A pass over 8 MiB or more of pages
+//    runs on several threads: the caller and up to one helper per further
+//    usable CPU each hash a contiguous share of at least 4 MiB, and the
+//    caller joins them before it returns. The bits see stores made
+//    through this process's own mapping, by user or kernel code; a
+//    pwrite(2) through the file, or a store through another process's
+//    mapping or a second mapping of the file, they do not see.
 //
 // Coherence: the cache never mediates data visibility (the mapping is the
 // single copy everyone addresses); tasks synchronize region contents with
@@ -43,6 +56,8 @@
 #pragma once
 
 #include "hls/tier.hpp"
+
+#include <sys/types.h>
 
 #include <cstdint>
 #include <memory>
@@ -64,8 +79,10 @@ namespace hlsmpc::hls {
 class PageCache {
  public:
   /// `obs`, when given, receives
-  /// tier_cache_hits/misses/preread_bytes/writeback_bytes counters and
-  /// tier_preread/tier_writeback events.
+  /// tier_cache_hits/misses/preread_bytes/writeback_bytes counters,
+  /// tier_preread/tier_writeback events and the tier_crc_full_passes /
+  /// tier_crc_tracked_passes counters (on task 0: a pass serves the
+  /// checkpoint, which the runtime counts there too).
   explicit PageCache(TierConfig cfg, obs::Recorder* obs = nullptr);
   PageCache(const PageCache&) = delete;
   PageCache& operator=(const PageCache&) = delete;
@@ -83,6 +100,11 @@ class PageCache {
     std::uint64_t writebacks = 0;       ///< region flushes (one msync each)
     std::uint64_t writeback_bytes = 0;  ///< bytes those msyncs wrote
     std::uint64_t hashed_pages = 0;     ///< page CRCs computed (scan cost)
+    /// CRC passes (scans and hashing rebaselines) that hashed every page.
+    std::uint64_t full_passes = 0;
+    /// CRC passes that hashed only the pages the kernel's write-protect
+    /// bits reported written since the baselines' drain.
+    std::uint64_t tracked_passes = 0;
   };
 
   /// Register a mapped segment; returns its region id for the calls
@@ -107,14 +129,20 @@ class PageCache {
   /// Maximal contiguous (offset, length) byte spans of pages whose
   /// content differs from the baseline, clipped to the region size — the
   /// incremental checkpoint's manifest; one whole-region span before the
-  /// first rebaseline() — plus every page's CRC, for rebaseline().
+  /// first rebaseline() — plus every page's CRC, for rebaseline(). Hashes
+  /// only the pages the kernel reported written since the baselines were
+  /// taken where it tracks the region (Stats::tracked_passes), every page
+  /// otherwise (Stats::full_passes).
   TierScan scan(int rid) const;
 
   /// Start a new dirty-tracking epoch: baselines := current contents.
   /// Called after a checkpoint save or a restore. Given `published` — the
   /// scan whose spans a delta save just wrote — its CRCs are installed
   /// without hashing again. A page written after that scan still differs
-  /// from its adopted CRC, so it lands in the next delta.
+  /// from its adopted CRC, and stays a candidate of every later scan
+  /// until a scan taken after it is adopted, so it lands in the next
+  /// delta. Without `published` the kernel's bits are re-protected first
+  /// and every page hashed after.
   void rebaseline(int rid, const TierScan* published = nullptr);
 
   /// Threads one scan of a `region_bytes` region hashes on: at most one
@@ -127,14 +155,21 @@ class PageCache {
  private:
   struct Region;
 
-  /// The one dirty-tracking pass over `r`: hashes each page once and
-  /// stores its CRC at crcs[p]. `dirty`, when given, receives 0/1 per
-  /// page (content differs from the baseline, or there is none). The
-  /// pages are cut into scan_shares() contiguous shares; helper threads
-  /// started for this pass hash all but the first, which the caller
-  /// hashes before it joins them.
-  void scan_locked(const Region& r, unsigned char* dirty,
-                   std::uint32_t* crcs) const;
+  /// Drains the kernel's write-protect bits of `r` into its candidate
+  /// marks, arming the region at its first pass. False when this pass
+  /// must hash every page: the kernel refused the bits (then for good),
+  /// or the caller is not the process that armed them.
+  bool track_locked(Region& r) const;
+
+  /// The one dirty-tracking pass over `r`: hashes the ascending `pages`
+  /// (every page when null) once each and stores each CRC at crcs[p].
+  /// `dirty`, when given, receives 0/1 per hashed page (content differs
+  /// from the baseline, or there is none). The pages are cut into
+  /// scan_shares() contiguous shares; helper threads started for this
+  /// pass hash all but the first, which the caller hashes before it
+  /// joins them.
+  void scan_locked(const Region& r, const std::vector<std::size_t>* pages,
+                   unsigned char* dirty, std::uint32_t* crcs) const;
   Region* region_locked(int rid) const;
 
   TierConfig cfg_;
@@ -142,6 +177,15 @@ class PageCache {
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Region>> regions_;
   mutable Stats stats_;  // const scans still count hashed_pages
+  // The kernel's write bits: a userfaultfd every region registers with,
+  // and /proc/self/pagemap for PAGEMAP_SCAN. Opened at the first pass of
+  // the first region, by the process recorded in uffd_pid_ (a forked
+  // child inherits both descriptors, which still name the parent's
+  // memory); -1 until then, and for good when the kernel refused.
+  mutable int uffd_ = -1;
+  mutable int pagemap_ = -1;
+  mutable bool uffd_refused_ = false;
+  mutable pid_t uffd_pid_ = 0;
 };
 
 }  // namespace hlsmpc::hls

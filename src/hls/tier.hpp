@@ -84,6 +84,9 @@ struct TierScan {
   /// Maximal (offset, length) byte spans of dirty pages.
   std::vector<std::pair<std::size_t, std::size_t>> spans;
   std::vector<std::uint32_t> crcs;  ///< every page's CRC-32C at scan time
+  /// The region's kernel drain the CRCs were hashed after: adopting the
+  /// scan keeps every page reported by a later drain a candidate.
+  std::uint64_t drain = 0;
 };
 
 }  // namespace hlsmpc::hls

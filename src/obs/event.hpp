@@ -61,6 +61,10 @@ enum class Counter : int {
   tier_preread_bytes,   ///< bytes bulk-read from backing files on misses
   tier_writeback_bytes, ///< bytes written back to backing files (what the
                         ///< kernel held dirty at a flush)
+  tier_crc_full_passes,     ///< dirty-tracking CRC passes that hashed every
+                            ///< page of a file-tier region
+  tier_crc_tracked_passes,  ///< dirty-tracking CRC passes that hashed only
+                            ///< the pages the kernel reported written
   wait_spin_completions,  ///< request waits the bounded spin satisfied
   wait_parks,             ///< request waits that fell through to the
                           ///< mutex/condvar park

@@ -71,6 +71,10 @@ const char* to_string(Counter c) {
       return "tier_preread_bytes";
     case Counter::tier_writeback_bytes:
       return "tier_writeback_bytes";
+    case Counter::tier_crc_full_passes:
+      return "tier_crc_full_passes";
+    case Counter::tier_crc_tracked_passes:
+      return "tier_crc_tracked_passes";
     case Counter::wait_spin_completions:
       return "wait_spin_completions";
     case Counter::wait_parks:

@@ -32,7 +32,13 @@
 //    a save keeps its page in the next delta, materializing a region
 //    hashes nothing and a restore hashes each region once; a scan split
 //    across helper threads returns the serial CRC of every page, and
-//    one whose helper cannot start hashes the share itself.
+//    one whose helper cannot start hashes the share itself. These run
+//    on the kernel's write-protect bits and again on the full pass
+//    (fault site tier:uffd); the kernel path hashes at least the pages
+//    written, and a page stored to stays in the next delta through
+//    msync, MADV_DONTNEED, MADV_PAGEOUT, a kernel-mode write, an
+//    unadopted scan, a drain longer than one PAGEMAP_SCAN call, a drain
+//    that fails part way and a fork.
 //  - memory against the kernel's accounting (/proc/self/status): a cold
 //    resolve of a region 16x the pool copies nothing into anonymous
 //    memory (a touch longer than the pool reads ahead only its trailing
@@ -328,6 +334,39 @@ void random_stores(shm::MappedSegment& seg, std::mt19937_64& rng, int n) {
   p[seg.size() - 1] ^= 0x5A;
 }
 
+/// Which CRC pass a test's PageCache takes: the kernel path hashes the
+/// pages the write-protect bits report (the full pass where the host
+/// refuses them), the forced fallback every page.
+enum class Pass { kernel, full };
+
+std::string tagged(const std::string& name, Pass pass) {
+  return pass == Pass::full ? name + "_full" : name;
+}
+
+/// Refuses the kernel's write bits (fault site tier:uffd) to every
+/// PageCache pass while alive, so each one hashes every page.
+struct FullPassOnly {
+  hlsmpc::fault::FaultInjector inj;
+  hlsmpc::fault::ScopedFaultInjection installed{inj};
+  FullPassOnly() { inj.arm_always("tier:uffd"); }
+};
+
+/// The pages one pass hashed, `written` of `npages` having changed: every
+/// page on the full pass; on the kernel path at least the changed ones
+/// and never more than every page.
+testing::AssertionResult hashed_as_expected(Pass pass, std::uint64_t hashed,
+                                            std::uint64_t written,
+                                            std::uint64_t npages) {
+  const bool ok = pass == Pass::full
+                      ? hashed == npages
+                      : written <= hashed && hashed <= npages;
+  if (ok) return testing::AssertionSuccess();
+  return testing::AssertionFailure()
+         << "hashed " << hashed << " pages; written " << written << " of "
+         << npages << " on the " << (pass == Pass::full ? "full" : "kernel")
+         << " path";
+}
+
 }  // namespace
 
 // ---- CRC-32C ---------------------------------------------------------
@@ -602,8 +641,12 @@ TEST(PageCache, TouchLongerThanThePoolReadsOnlyWhatItKeeps) {
   EXPECT_EQ(s.misses, 17u);
 }
 
-TEST(PageCache, AdoptedScanIsTheNextBaseline) {
-  const std::string dir = fresh_dir("hls_tier_pc_adopt");
+namespace {
+
+void adopted_scan_is_the_next_baseline(Pass pass) {
+  std::optional<FullPassOnly> forced;
+  if (pass == Pass::full) forced.emplace();
+  const std::string dir = fresh_dir(tagged("hls_tier_pc_adopt", pass));
   shm::MappedSegment seg(dir + "/seg", 8 * kPage);
   hls::PageCache pc(small_pages(dir));
   const int rid = pc.attach(&seg);
@@ -616,24 +659,40 @@ TEST(PageCache, AdoptedScanIsTheNextBaseline) {
   EXPECT_EQ(first.spans[0], std::make_pair(std::size_t{0}, 8 * kPage));
   pc.rebaseline(rid, &first);
 
-  // Two raw writes: a scan that keeps CRCs hashes every page exactly once.
+  // Two raw writes: a scan that keeps CRCs hashes every page exactly once
+  // on the full pass, and at least the two written pages on the kernel's.
   std::memset(p + 2 * kPage, 0x11, 10);
   p[6 * kPage + 5] = 0x22;
   const std::uint64_t h0 = pc.stats().hashed_pages;
   const hls::TierScan scan = pc.scan(rid);
-  EXPECT_EQ(pc.stats().hashed_pages - h0, 8u);
+  const std::uint64_t hashed = pc.stats().hashed_pages - h0;
+  EXPECT_TRUE(hashed_as_expected(pass, hashed, 2, 8));
   ASSERT_EQ(scan.spans.size(), 2u);
   EXPECT_EQ(scan.spans[0], std::make_pair(2 * kPage, kPage));
   EXPECT_EQ(scan.spans[1], std::make_pair(6 * kPage, kPage));
 
   // Nothing moved since the scan: adoption installs it without hashing.
   pc.rebaseline(rid, &scan);
-  EXPECT_EQ(pc.stats().hashed_pages - h0, 8u);
+  EXPECT_EQ(pc.stats().hashed_pages - h0, hashed);
   EXPECT_TRUE(pc.scan(rid).spans.empty());
 }
 
-TEST(PageCache, WriteBetweenScanAndAdoptKeepsPageInNextDelta) {
-  const std::string dir = fresh_dir("hls_tier_pc_race");
+}  // namespace
+
+TEST(PageCache, AdoptedScanIsTheNextBaseline) {
+  adopted_scan_is_the_next_baseline(Pass::kernel);
+}
+
+TEST(PageCache, AdoptedScanIsTheNextBaselineOnFullPass) {
+  adopted_scan_is_the_next_baseline(Pass::full);
+}
+
+namespace {
+
+void write_between_scan_and_adopt_keeps_page_in_next_delta(Pass pass) {
+  std::optional<FullPassOnly> forced;
+  if (pass == Pass::full) forced.emplace();
+  const std::string dir = fresh_dir(tagged("hls_tier_pc_race", pass));
   shm::MappedSegment seg(dir + "/seg", 8 * kPage);
   hls::PageCache pc(small_pages(dir));
   const int rid = pc.attach(&seg);
@@ -660,8 +719,22 @@ TEST(PageCache, WriteBetweenScanAndAdoptKeepsPageInNextDelta) {
   EXPECT_EQ(pc.scan(rid).spans, want);
 }
 
-TEST(PageCache, ParallelScanMatchesSerialCrcOfEveryPage) {
-  const std::string dir = fresh_dir("hls_tier_pc_parallel");
+}  // namespace
+
+TEST(PageCache, WriteBetweenScanAndAdoptKeepsPageInNextDelta) {
+  write_between_scan_and_adopt_keeps_page_in_next_delta(Pass::kernel);
+}
+
+TEST(PageCache, WriteBetweenScanAndAdoptKeepsPageInNextDeltaOnFullPass) {
+  write_between_scan_and_adopt_keeps_page_in_next_delta(Pass::full);
+}
+
+namespace {
+
+void parallel_scan_matches_serial_crc_of_every_page(Pass pass) {
+  std::optional<FullPassOnly> forced;
+  if (pass == Pass::full) forced.emplace();
+  const std::string dir = fresh_dir(tagged("hls_tier_pc_parallel", pass));
   shm::MappedSegment seg(dir + "/seg", kScanRegion);
   hls::TierConfig cfg = small_pages(dir);
   cfg.page_bytes = kScanPage;
@@ -672,15 +745,22 @@ TEST(PageCache, ParallelScanMatchesSerialCrcOfEveryPage) {
   std::mt19937_64 rng(25);
   std::printf("scan shares: %zu\n", pc.scan_shares(kScanRegion));
 
-  // Checks one scan against the serial ground truth over `before`; the
-  // pass hashes every page once.
+  // Checks one scan against the serial ground truth over `before`. A pass
+  // without baselines hashes every page once, as does every full pass; a
+  // kernel pass hashes at least the changed pages.
   const auto check = [&](const std::vector<unsigned char>& before,
                          const char* when) {
     SCOPED_TRACE(when);
     const hls::TierScan want = serial_scan(seg, kScanPage, before);
     const std::uint64_t h0 = pc.stats().hashed_pages;
     const hls::TierScan got = pc.scan(rid);
-    EXPECT_EQ(pc.stats().hashed_pages - h0, npages);
+    std::size_t changed = 0;
+    for (const auto& [off, len] : want.spans) {
+      changed += (len + kScanPage - 1) / kScanPage;
+    }
+    EXPECT_TRUE(hashed_as_expected(before.empty() ? Pass::full : pass,
+                                   pc.stats().hashed_pages - h0, changed,
+                                   npages));
     EXPECT_EQ(got.crcs, want.crcs);
     EXPECT_EQ(got.spans, want.spans);
     EXPECT_FALSE(want.spans.empty());
@@ -703,6 +783,16 @@ TEST(PageCache, ParallelScanMatchesSerialCrcOfEveryPage) {
   image.assign(p, p + kScanRegion);
   random_stores(seg, rng, 40);
   check(image, "after rebaseline()");
+}
+
+}  // namespace
+
+TEST(PageCache, ParallelScanMatchesSerialCrcOfEveryPage) {
+  parallel_scan_matches_serial_crc_of_every_page(Pass::kernel);
+}
+
+TEST(PageCache, ParallelScanMatchesSerialCrcOfEveryPageOnFullPass) {
+  parallel_scan_matches_serial_crc_of_every_page(Pass::full);
 }
 
 TEST(PageCache, ScanWhoseHelperCannotStartHashesEveryPageOnce) {
@@ -732,6 +822,9 @@ TEST(PageCache, ScanWhoseHelperCannotStartHashesEveryPageOnce) {
     SCOPED_TRACE("helper " + std::to_string(nth) + " fails to start");
     hlsmpc::fault::FaultInjector inj;
     hlsmpc::fault::ScopedFaultInjection installed(inj);
+    // Helpers split a full pass: refusing the kernel's bits makes this
+    // scan hash every page.
+    inj.arm_always("tier:uffd");
     inj.arm("tier:scan_helper", nth);
     const std::uint64_t h0 = pc.stats().hashed_pages;
     hls::TierScan got;
@@ -741,6 +834,289 @@ TEST(PageCache, ScanWhoseHelperCannotStartHashesEveryPageOnce) {
     EXPECT_EQ(pc.stats().hashed_pages - h0, npages);
     EXPECT_EQ(got.crcs, want.crcs);
     EXPECT_EQ(got.spans, want.spans);
+  }
+}
+
+// ---- dirty tracking by the kernel's write-protect bits ---------------
+
+namespace {
+
+/// Tier pages (kPage each) of the kernel-path regions below.
+constexpr std::size_t kTrackPages = 32;
+
+/// One scan of `rid` against ground truth: its spans are the pages of
+/// `seg` whose bytes differ (memcmp) from `saved`, and its CRCs every
+/// page's serial crc32c.
+testing::AssertionResult scan_matches(hls::PageCache& pc, int rid,
+                                      const shm::MappedSegment& seg,
+                                      const std::vector<unsigned char>& saved) {
+  const hls::TierScan want = serial_scan(seg, kPage, saved);
+  const hls::TierScan got = pc.scan(rid);
+  if (got.spans != want.spans) {
+    return testing::AssertionFailure()
+           << got.spans.size() << " spans, ground truth "
+           << want.spans.size();
+  }
+  if (got.crcs != want.crcs) {
+    return testing::AssertionFailure() << "CRCs differ from crc32c";
+  }
+  return testing::AssertionSuccess();
+}
+
+/// The mapping's bytes now: what a save taken at this point captured.
+std::vector<unsigned char> image_of(const shm::MappedSegment& seg) {
+  const auto* p = static_cast<const unsigned char*>(seg.base());
+  return {p, p + seg.size()};
+}
+
+/// True once `pc` has taken a pass by the kernel's bits; a test that
+/// needs them skips where the host refuses (no userfaultfd write
+/// protection, or a kernel before 6.7).
+bool kernel_tracked(const hls::PageCache& pc) {
+  return pc.stats().tracked_passes > 0;
+}
+
+}  // namespace
+
+TEST(PageCacheKernelBits, WrittenPageStaysInTheNextDelta) {
+  const std::string dir = fresh_dir("hls_tier_wp_kinds");
+  const std::string donor = dir + "/donor";
+  {
+    const std::vector<unsigned char> bytes(kPage, 0xC3);
+    const int fd = ::open(donor.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::write(fd, bytes.data(), kPage), static_cast<ssize_t>(kPage));
+    ::close(fd);
+  }
+  const std::size_t size = kTrackPages * kPage;
+  // What happens between a store and the next scan (or, where `before`,
+  // between the last scan and the store, which then faults the page back
+  // in). The kernel-mode case is itself the write: pread(2) from another
+  // file into the mapping.
+  using Act = int (*)(unsigned char* p, std::size_t size);
+  const Act dontneed = [](unsigned char* p, std::size_t n) {
+    return ::madvise(p, n, MADV_DONTNEED);
+  };
+  struct Case {
+    const char* what;
+    Act act;
+    bool before;
+    bool kernel_write;
+  };
+  const Case cases[] = {
+      {"msync",
+       [](unsigned char* p, std::size_t n) { return ::msync(p, n, MS_SYNC); },
+       false, false},
+      {"MADV_DONTNEED", dontneed, false, false},
+      {"MADV_PAGEOUT",
+       [](unsigned char* p, std::size_t n) {
+         // A clean page is reclaimable: write it back first.
+         return ::msync(p, n, MS_SYNC) != 0 ? -1
+                                            : ::madvise(p, n, MADV_PAGEOUT);
+       },
+       false, false},
+      {"store to a page MADV_DONTNEED unmapped", dontneed, true, false},
+      {"kernel-mode write", nullptr, false, true},
+  };
+  const int donor_fd = ::open(donor.c_str(), O_RDONLY);
+  ASSERT_GE(donor_fd, 0);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    shm::MappedSegment seg(dir + "/seg", size);
+    hls::PageCache pc(small_pages(dir));
+    const int rid = pc.attach(&seg);
+    auto* p = static_cast<unsigned char*>(seg.base());
+    for (std::size_t i = 0; i < size; ++i) p[i] = pattern(0, i, 3);
+    pc.rebaseline(rid);
+    // Two epochs: right after the full rebaseline, and after adopting a
+    // scan, a different page each.
+    for (std::size_t page : {std::size_t{5}, std::size_t{kTrackPages - 1}}) {
+      const std::vector<unsigned char> saved = image_of(seg);
+      if (c.before) {
+        ASSERT_EQ(c.act(p, size), 0) << std::strerror(errno);
+      }
+      if (c.kernel_write) {
+        ASSERT_EQ(::pread(donor_fd, p + page * kPage, kPage, 0),
+                  static_cast<ssize_t>(kPage));
+      } else {
+        p[page * kPage + 17] ^= 0xFF;
+      }
+      if (c.act != nullptr && !c.before) {
+        ASSERT_EQ(c.act(p, size), 0) << std::strerror(errno);
+      }
+      const hls::TierScan scan = pc.scan(rid);
+      const std::vector<std::pair<std::size_t, std::size_t>> want = {
+          {page * kPage, kPage}};
+      EXPECT_EQ(scan.spans, want) << "page " << page;
+      pc.rebaseline(rid, &scan);
+      // The adopted scan is the new ground truth's baseline.
+      EXPECT_TRUE(scan_matches(pc, rid, seg, image_of(seg)));
+    }
+  }
+  ::close(donor_fd);
+}
+
+TEST(PageCacheKernelBits, WriteAfterTheAdoptedScanSurvivesALaterScan) {
+  const std::string dir = fresh_dir("hls_tier_wp_abab");
+  shm::MappedSegment seg(dir + "/seg", kTrackPages * kPage);
+  hls::PageCache pc(small_pages(dir));
+  const int rid = pc.attach(&seg);
+  auto* p = static_cast<unsigned char*>(seg.base());
+  pc.rebaseline(rid);
+
+  p[2 * kPage] = 0x61;
+  const hls::TierScan a = pc.scan(rid);
+  const std::vector<unsigned char> saved = image_of(seg);  // what A saved
+  // Written after A; scan B drains the kernel's bit for it, and B is
+  // never adopted: A is.
+  p[9 * kPage + 100] = 0x62;
+  const hls::TierScan b = pc.scan(rid);
+  ASSERT_EQ(b.spans.size(), 2u);
+  pc.rebaseline(rid, &a);
+  EXPECT_TRUE(scan_matches(pc, rid, seg, saved));
+  EXPECT_EQ(pc.scan(rid).spans,
+            (std::vector<std::pair<std::size_t, std::size_t>>{
+                {9 * kPage, kPage}}));
+}
+
+TEST(PageCacheKernelBits, DrainOfMoreRangesThanOneScanCallReturns) {
+  const std::string dir = fresh_dir("hls_tier_wp_ranges");
+  constexpr std::size_t kPages = 1024;  // 4 MiB in system-page tier pages
+  shm::MappedSegment seg(dir + "/seg", kPages * kPage);
+  hls::PageCache pc(small_pages(dir));
+  const int rid = pc.attach(&seg);
+  auto* p = static_cast<unsigned char*>(seg.base());
+  std::memset(p, 0x17, kPages * kPage);
+  pc.rebaseline(rid);
+  const std::vector<unsigned char> saved = image_of(seg);
+  // Every other page: 512 separate written ranges.
+  for (std::size_t page = 0; page < kPages; page += 2) p[page * kPage] = 0x71;
+
+  hlsmpc::fault::FaultInjector inj;  // armed nowhere: counts the calls
+  hlsmpc::fault::ScopedFaultInjection installed(inj);
+  const std::uint64_t h0 = pc.stats().hashed_pages;
+  EXPECT_TRUE(scan_matches(pc, rid, seg, saved));
+  if (!kernel_tracked(pc)) GTEST_SKIP() << "the kernel refuses the bits";
+  EXPECT_GE(inj.hits("tier:uffd"), 2u) << "one PAGEMAP_SCAN call";
+  EXPECT_GE(pc.stats().hashed_pages - h0, kPages / 2);
+}
+
+TEST(PageCacheKernelBits, CheckpointShapedDeltaHashesAtMostFourTimesWritten) {
+  // tier_ckpt's shape at a quarter of its size: four ranks each rewrite
+  // one 256 KiB slice of their share per interval, then a flush and a
+  // delta save (scan, adopt).
+  constexpr std::size_t kRegion = std::size_t{16} << 20;
+  constexpr std::size_t kSlice = 256 * 1024;
+  constexpr std::size_t kRanks = 4;
+  const std::string dir = fresh_dir("hls_tier_wp_ckpt");
+  shm::MappedSegment seg(dir + "/seg", kRegion);
+  hls::TierConfig cfg = small_pages(dir);
+  cfg.page_bytes = kScanPage;
+  hls::PageCache pc(cfg);
+  const int rid = pc.attach(&seg);
+  auto* p = static_cast<unsigned char*>(seg.base());
+  for (std::size_t i = 0; i < kRegion; ++i) p[i] = pattern(1, i, 4);
+  pc.writeback(rid);
+  pc.rebaseline(rid);  // the first, full save
+  const std::size_t written = kRanks * kSlice / kScanPage;
+  for (int round = 0; round < 8; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::vector<unsigned char> saved = image_of(seg);
+    for (std::size_t rank = 0; rank < kRanks; ++rank) {
+      const std::size_t off =
+          rank * (kRegion / kRanks) + (round % 8) * 2 * kSlice;
+      for (std::size_t i = 0; i < kSlice; ++i) {
+        p[off + i] = static_cast<unsigned char>(round * 13 + i);
+      }
+    }
+    pc.writeback(rid);
+    const hls::TierScan want = serial_scan(seg, kScanPage, saved);
+    const std::uint64_t h0 = pc.stats().hashed_pages;
+    const hls::TierScan scan = pc.scan(rid);
+    const std::uint64_t hashed = pc.stats().hashed_pages - h0;
+    pc.rebaseline(rid, &scan);
+    EXPECT_EQ(scan.spans, want.spans);
+    EXPECT_EQ(scan.crcs, want.crcs);
+    if (!kernel_tracked(pc)) GTEST_SKIP() << "the kernel refuses the bits";
+    EXPECT_GE(hashed, written);
+    EXPECT_LE(hashed, 4 * written);
+  }
+}
+
+TEST(PageCacheKernelBits, DrainThatFailsAfterTrackingLosesNoPage) {
+  const std::string dir = fresh_dir("hls_tier_wp_fail");
+  constexpr std::size_t kPages = 1024;
+  shm::MappedSegment seg(dir + "/seg", kPages * kPage);
+  hls::PageCache pc(small_pages(dir));
+  const int rid = pc.attach(&seg);
+  auto* p = static_cast<unsigned char*>(seg.base());
+  pc.rebaseline(rid);
+  std::vector<unsigned char> saved = image_of(seg);
+  for (std::size_t page = 0; page < kPages; page += 2) p[page * kPage] = 0x72;
+
+  // The drain's second PAGEMAP_SCAN call fails: the first already
+  // re-protected the pages it reported, so the region must not trust
+  // what it read.
+  hlsmpc::fault::FaultInjector inj;
+  hlsmpc::fault::ScopedFaultInjection installed(inj);
+  inj.arm("tier:uffd", 2);
+  const hls::PageCache::Stats s0 = pc.stats();
+  EXPECT_TRUE(scan_matches(pc, rid, seg, saved));
+  if (s0.tracked_passes == 0 && inj.hits("tier:uffd") == 0) {
+    GTEST_SKIP() << "the kernel refuses the bits";
+  }
+  EXPECT_EQ(inj.fired("tier:uffd"), 1u);
+  EXPECT_EQ(pc.stats().full_passes, s0.full_passes + 1);
+
+  // The full pass is for good: a later scan asks the kernel nothing.
+  const std::uint64_t calls = inj.hits("tier:uffd");
+  pc.rebaseline(rid);
+  saved = image_of(seg);
+  p[3 * kPage + 1] = 0x73;
+  EXPECT_TRUE(scan_matches(pc, rid, seg, saved));
+  EXPECT_EQ(inj.hits("tier:uffd"), calls);
+  EXPECT_EQ(pc.stats().tracked_passes, s0.tracked_passes);
+}
+
+TEST(PageCacheKernelBits, ForkedChildTakesTheFullPassAndLeavesTheParentsBits) {
+  const std::string dir = fresh_dir("hls_tier_wp_fork");
+  shm::MappedSegment seg(dir + "/seg", kTrackPages * kPage);
+  hls::PageCache pc(small_pages(dir));
+  const int rid = pc.attach(&seg);
+  auto* p = static_cast<unsigned char*>(seg.base());
+  pc.rebaseline(rid);  // armed by this process
+  const std::vector<unsigned char> saved = image_of(seg);
+  p[3 * kPage] = 0x81;  // not yet drained
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // The inherited descriptors name the parent's page tables: a drain
+    // here would take the parent's bits. The child hashes every page.
+    p[7 * kPage] = 0x82;
+    const hls::PageCache::Stats s0 = pc.stats();
+    const hls::TierScan got = pc.scan(rid);
+    const hls::TierScan want = serial_scan(seg, kPage, saved);
+    const hls::PageCache::Stats s1 = pc.stats();
+    int bad = 0;
+    if (got.spans != want.spans || got.crcs != want.crcs) bad |= 1;
+    if (s1.full_passes != s0.full_passes + 1) bad |= 2;
+    if (s1.hashed_pages - s0.hashed_pages != kTrackPages) bad |= 4;
+    ::_exit(bad);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "1: wrong scan, 2: not the full "
+                                       "pass, 4: not every page hashed";
+
+  // The parent's own store is still reported. The child's store through
+  // its own mapping is the stated limit: the parent's bits never see it.
+  const hls::TierScan scan = pc.scan(rid);
+  ASSERT_FALSE(scan.spans.empty());
+  EXPECT_EQ(scan.spans.front(), std::make_pair(3 * kPage, kPage));
+  if (kernel_tracked(pc)) {
+    EXPECT_EQ(scan.spans.size(), 1u);
   }
 }
 
@@ -1126,10 +1502,15 @@ testing::AssertionResult same_bytes(
 
 }  // namespace
 
-TEST(TierRuntime, RawWriteAfterDeltaSaveAppearsInNextDelta) {
-  const std::string ckpt_dir = fresh_dir("hls_tier_raw_ckpt");
+namespace {
+
+void raw_write_after_delta_save_appears_in_next_delta(Pass pass) {
+  std::optional<FullPassOnly> forced;
+  if (pass == Pass::full) forced.emplace();
+  const std::string ckpt_dir =
+      fresh_dir(tagged("hls_tier_raw_ckpt", pass));
   const topo::Machine m = topo::Machine::nehalem_ex(2);
-  TierRt t(m, fresh_dir("hls_tier_raw_tier"));
+  TierRt t(m, fresh_dir(tagged("hls_tier_raw_tier", pass)));
   const std::vector<std::uint8_t*> live = t.bases();
   for (std::uint8_t* b : live) std::memset(b, 0x5A, t.h.size);
   hls::CheckpointStore store({ckpt_dir, "hls", /*keep=*/8});
@@ -1149,9 +1530,13 @@ TEST(TierRuntime, RawWriteAfterDeltaSaveAppearsInNextDelta) {
   ASSERT_NE(pc, nullptr);
   const std::uint64_t h0 = pc->stats().hashed_pages;
   EXPECT_EQ(t.rt.checkpoint_incremental(store, topo::node_scope()), 3u);
-  // One hash per page for the whole delta checkpoint: scan, then adopt.
-  EXPECT_EQ(pc->stats().hashed_pages - h0, live.size() * kWidePages);
-  const auto img = restored_image(m, ckpt_dir, "hls_tier_raw_tier2");
+  // At most one hash per page for the whole delta checkpoint (scan, then
+  // adopt): every page on the full pass, at least the written one on the
+  // kernel's.
+  EXPECT_TRUE(hashed_as_expected(pass, pc->stats().hashed_pages - h0, 1,
+                                 live.size() * kWidePages));
+  const auto img =
+      restored_image(m, ckpt_dir, tagged("hls_tier_raw_tier2", pass));
   EXPECT_TRUE(same_bytes(live, img));
 
   const hls::CheckpointStore::Report d3 =
@@ -1160,10 +1545,25 @@ TEST(TierRuntime, RawWriteAfterDeltaSaveAppearsInNextDelta) {
   EXPECT_EQ(d3.payload_bytes, 0u);  // nothing written since version 3
 }
 
-TEST(TierRuntime, DeltaSpansMatchMemcmpGroundTruthOverRandomRounds) {
-  const std::string ckpt_dir = fresh_dir("hls_tier_rounds_ckpt");
+}  // namespace
+
+TEST(TierRuntime, RawWriteAfterDeltaSaveAppearsInNextDelta) {
+  raw_write_after_delta_save_appears_in_next_delta(Pass::kernel);
+}
+
+TEST(TierRuntime, RawWriteAfterDeltaSaveAppearsInNextDeltaOnFullPass) {
+  raw_write_after_delta_save_appears_in_next_delta(Pass::full);
+}
+
+namespace {
+
+void delta_spans_match_memcmp_ground_truth(Pass pass) {
+  std::optional<FullPassOnly> forced;
+  if (pass == Pass::full) forced.emplace();
+  const std::string ckpt_dir =
+      fresh_dir(tagged("hls_tier_rounds_ckpt", pass));
   const topo::Machine m = topo::Machine::nehalem_ex(2);
-  TierRt t(m, fresh_dir("hls_tier_rounds_tier"));
+  TierRt t(m, fresh_dir(tagged("hls_tier_rounds_tier", pass)));
   const std::vector<std::uint8_t*> live = t.bases();
   for (std::size_t i = 0; i < live.size(); ++i) {
     for (std::size_t b = 0; b < t.h.size; ++b) {
@@ -1173,7 +1573,8 @@ TEST(TierRuntime, DeltaSpansMatchMemcmpGroundTruthOverRandomRounds) {
   // keep > rounds: every incremental save stays a delta.
   hls::CheckpointStore store({ckpt_dir, "hls", /*keep=*/16});
   store.save(t.rt.storage(), t.rt.registry(), t.h.scope);
-  auto prev = restored_image(m, ckpt_dir, "hls_tier_rounds_r");
+  auto prev =
+      restored_image(m, ckpt_dir, tagged("hls_tier_rounds_r", pass));
   ASSERT_TRUE(same_bytes(live, prev));
 
   std::mt19937_64 rng(7);
@@ -1212,10 +1613,21 @@ TEST(TierRuntime, DeltaSpansMatchMemcmpGroundTruthOverRandomRounds) {
     // The payload covers exactly the differing pages' byte count, and the
     // chain restores to the live bytes: so no differing page is missing
     // and no clean page took its place.
-    prev = restored_image(m, ckpt_dir,
-                          "hls_tier_rounds_r" + std::to_string(round));
+    prev = restored_image(
+        m, ckpt_dir,
+        tagged("hls_tier_rounds_r" + std::to_string(round), pass));
     ASSERT_TRUE(same_bytes(live, prev)) << "round " << round;
   }
+}
+
+}  // namespace
+
+TEST(TierRuntime, DeltaSpansMatchMemcmpGroundTruthOverRandomRounds) {
+  delta_spans_match_memcmp_ground_truth(Pass::kernel);
+}
+
+TEST(TierRuntime, DeltaSpansMatchMemcmpGroundTruthOverRandomRoundsOnFullPass) {
+  delta_spans_match_memcmp_ground_truth(Pass::full);
 }
 
 TEST(TierRuntime, SoftwareCrcTrailerStillRestores) {
