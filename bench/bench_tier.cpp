@@ -24,12 +24,10 @@
 //     through a buffer that costs more than twice the raw read.
 //   - BM_TierScan: PageCache::scan of a 64 MiB file-tier region must take
 //     at most 1.1x one serial crc32c over the same mapping (counter
-//     scan_vs_crc_ratio, reported with the scan's share count in
-//     scan_shares). The kernel's write bits are refused (fault site
-//     tier:uffd), so every scan is the full pass. On one usable CPU it
-//     is serial and reads about 1; with more it splits across helper
-//     threads and reads well below. The bound catches helper overhead
-//     that a split does not pay back.
+//     scan_vs_crc_ratio). The kernel's write bits are refused (fault
+//     site tier:uffd), so every scan is the full pass, on the caller's
+//     thread, and reads about 1. The bound catches per-page overhead
+//     that the three-chain hashing does not hide.
 //   - BM_TierScanDelta: a delta scan of a 64 MiB region after the
 //     tier_ckpt interval's writes (4 x 256 KiB) must hash at most 4 tier
 //     pages per page written (counter hashed_per_written; scan_us times
@@ -317,8 +315,6 @@ void BM_TierScan(benchmark::State& state) {
     state.counters["crc_us"] = benchmark::Counter(crc_min * 1e6);
     state.counters["scan_vs_crc_ratio"] =
         benchmark::Counter(scan_min / crc_min);
-    state.counters["scan_shares"] =
-        benchmark::Counter(static_cast<double>(pc.scan_shares(bytes)));
   }
   std::filesystem::remove_all(cfg.dir);  // the 64 MiB file
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -50,9 +50,6 @@
 //   shm:file_mmap        -    MappedSegment mmap (ENOMEM)
 //   shm:msync            -    MappedSegment sync write-back fails (the
 //                             page cache surfaces it as corruption)
-//   tier:scan_helper     -    PageCache scan cannot start a helper
-//                             thread (std::system_error); the caller
-//                             hashes that share itself
 //   tier:uffd            -    PageCache's kernel write tracking is
 //                             refused: registering a region with the
 //                             userfaultfd, or one PAGEMAP_SCAN call of a

@@ -9,15 +9,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <system_error>
-#include <thread>
 
 #include "fault/injector.hpp"
 #include "hls/crc32c.hpp"
 #include "hls/registry.hpp"
 #include "obs/recorder.hpp"
 #include "shm/segment.hpp"
-#include "ult/task_context.hpp"
 
 namespace hlsmpc::hls {
 
@@ -39,12 +36,6 @@ struct PageCache::Region {
 };
 
 namespace {
-
-/// Least region bytes per scan share: a region splits into at most one
-/// share per kScanShareBytes. Starting and joining a helper thread costs
-/// about 24 us, hashing 4 MiB about 240 us (4-vCPU Xeon VM), so a helper
-/// pays for itself about ten times over.
-constexpr std::size_t kScanShareBytes = std::size_t{4} << 20;
 
 // The userfaultfd write-protect and PAGEMAP_SCAN interface (Linux 6.7),
 // which the build's headers predate: declared here as the kernel's uapi
@@ -263,46 +254,20 @@ void PageCache::scan_locked(const Region& r,
     if (dirty != nullptr) dirty[p] = r.base_crc.empty() || c != r.base_crc[p];
     crcs[p] = c;
   };
-  // Hashes list positions [lo, hi): whole pages three at a time, one CRC
-  // chain each, the rest one by one. Each share writes only its own
-  // pages of `dirty`/`crcs` and only reads base_crc.
-  const auto hash = [&](std::size_t lo, std::size_t hi) {
-    std::size_t i = lo;
-    for (; i + 3 <= hi && (page(i + 2) + 1) * pb <= size; i += 3) {
-      const std::size_t p[3] = {page(i), page(i + 1), page(i + 2)};
-      const unsigned char* bufs[3] = {base + p[0] * pb, base + p[1] * pb,
-                                      base + p[2] * pb};
-      std::uint32_t c[3];
-      crc32c_x3(bufs, pb, c);
-      for (std::size_t k = 0; k < 3; ++k) mark(p[k], c[k]);
-    }
-    for (; i < hi; ++i) {
-      const std::size_t p = page(i);
-      mark(p, crc32c(base + p * pb, page_span(pb, size, p)));
-    }
-  };
-  const std::size_t shares = scan_shares(std::min(n * pb, size));
-  // Helpers take the shares from the last one down, the caller hashes
-  // what is left from position 0. A helper that cannot start leaves its
-  // share and every one below it to the caller.
-  std::vector<std::thread> helpers;
-  helpers.reserve(shares - 1);
-  std::size_t mine = n;
-  for (std::size_t k = shares - 1; k > 0; --k) {
-    const std::size_t lo = n * k / shares;
-    try {
-      if (fault::should_fail("tier:scan_helper")) {
-        throw std::system_error(
-            std::make_error_code(std::errc::resource_unavailable_try_again));
-      }
-      helpers.emplace_back(hash, lo, mine);
-    } catch (const std::exception&) {  // std::system_error or bad_alloc
-      break;
-    }
-    mine = lo;
+  // Whole pages three at a time, one CRC chain each, the rest one by one.
+  std::size_t i = 0;
+  for (; i + 3 <= n && (page(i + 2) + 1) * pb <= size; i += 3) {
+    const std::size_t p[3] = {page(i), page(i + 1), page(i + 2)};
+    const unsigned char* bufs[3] = {base + p[0] * pb, base + p[1] * pb,
+                                    base + p[2] * pb};
+    std::uint32_t c[3];
+    crc32c_x3(bufs, pb, c);
+    for (std::size_t k = 0; k < 3; ++k) mark(p[k], c[k]);
   }
-  hash(0, mine);
-  for (std::thread& t : helpers) t.join();
+  for (; i < n; ++i) {
+    const std::size_t p = page(i);
+    mark(p, crc32c(base + p * pb, page_span(pb, size, p)));
+  }
   stats_.hashed_pages += n;
   const bool full = pages == nullptr;
   ++(full ? stats_.full_passes : stats_.tracked_passes);
@@ -460,16 +425,6 @@ void PageCache::rebaseline(int rid, const TierScan* published) {
     scan_locked(*r, nullptr, nullptr, r->base_crc.data());
     r->base_drain = r->drains;
   }
-}
-
-std::size_t PageCache::scan_shares(std::size_t region_bytes) const {
-  const std::size_t npages =
-      (region_bytes + cfg_.page_bytes - 1) / cfg_.page_bytes;
-  return std::max<std::size_t>(
-      std::min<std::size_t>(
-          {npages, region_bytes / kScanShareBytes,
-           static_cast<std::size_t>(ult::ThreadCensus::usable_cpus())}),
-      1);
 }
 
 PageCache::Stats PageCache::stats() const {

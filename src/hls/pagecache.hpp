@@ -36,13 +36,11 @@
 //    — or a process other than the one that armed them) hash every page.
 //    Every query is one locked pass that hashes each page at most once; a
 //    delta save hands its scan back to rebaseline(), which installs those
-//    CRCs instead of hashing again. A pass over 8 MiB or more of pages
-//    runs on several threads: the caller and up to one helper per further
-//    usable CPU each hash a contiguous share of at least 4 MiB, and the
-//    caller joins them before it returns. The bits see stores made
-//    through this process's own mapping, by user or kernel code; a
-//    pwrite(2) through the file, or a store through another process's
-//    mapping or a second mapping of the file, they do not see.
+//    CRCs instead of hashing again. A pass runs on the caller's thread.
+//    The bits see stores made through this process's own mapping, by
+//    user or kernel code; a pwrite(2) through the file, or a store
+//    through another process's mapping or a second mapping of the file,
+//    they do not see.
 //
 // Coherence: the cache never mediates data visibility (the mapping is the
 // single copy everyone addresses); tasks synchronize region contents with
@@ -50,9 +48,7 @@
 //
 // Concurrency: one mutex over the bookkeeping. touch() runs on the COLD
 // resolve path only (warm get_addr never reaches the StorageManager), so
-// the lock is not on any hot path. A scan's helper threads run under
-// the caller's lock and take none themselves; they never outlive the
-// scan.
+// the lock is not on any hot path; a CRC pass holds it throughout.
 #pragma once
 
 #include "hls/tier.hpp"
@@ -145,11 +141,6 @@ class PageCache {
   /// and every page hashed after.
   void rebaseline(int rid, const TierScan* published = nullptr);
 
-  /// Threads one scan of a `region_bytes` region hashes on: at most one
-  /// per 4 MiB of region and one per page, and no more than the usable
-  /// CPUs. The caller's thread is one of them.
-  std::size_t scan_shares(std::size_t region_bytes) const;
-
   Stats stats() const;
 
  private:
@@ -164,10 +155,7 @@ class PageCache {
   /// The one dirty-tracking pass over `r`: hashes the ascending `pages`
   /// (every page when null) once each and stores each CRC at crcs[p].
   /// `dirty`, when given, receives 0/1 per hashed page (content differs
-  /// from the baseline, or there is none). The pages are cut into
-  /// scan_shares() contiguous shares; helper threads started for this
-  /// pass hash all but the first, which the caller hashes before it
-  /// joins them.
+  /// from the baseline, or there is none).
   void scan_locked(const Region& r, const std::vector<std::size_t>* pages,
                    unsigned char* dirty, std::uint32_t* crcs) const;
   Region* region_locked(int rid) const;

@@ -51,14 +51,15 @@ detail::Mailbox& ShmTransport::mailbox(int ep, const char* what) {
 
 void ShmTransport::ride_out_flaps(ult::TaskContext& ctx, int ep,
                                   const char* what) {
-  // Seed from (task, endpoint, burst epoch): two tasks riding out the
-  // same flapping endpoint — or one task across two bursts — must take
-  // decorrelated jitter, not retry in lockstep (retry.hpp).
+  if (!fault::should_fail("shm:flap", ep)) return;
+  // A burst. Seed from (task, endpoint, burst epoch): two tasks riding out
+  // the same flapping endpoint — or one task across two bursts — must
+  // take decorrelated jitter, not retry in lockstep (retry.hpp). An op
+  // that sees no flap draws no epoch.
   RetryBackoff backoff(
       retry_, jitter_seed(ctx.task_id(), ep,
                           flap_epoch_.fetch_add(1, std::memory_order_relaxed)));
-  int attempt = 1;
-  while (fault::should_fail("shm:flap", ep)) {
+  for (int attempt = 1;; ++attempt) {
     stats_.link_flaps.fetch_add(1, std::memory_order_relaxed);
     if (attempt >= retry_.max_attempts) {
       throw TransportError(
@@ -69,7 +70,7 @@ void ShmTransport::ride_out_flaps(ult::TaskContext& ctx, int ep,
     }
     stats_.retries.fetch_add(1, std::memory_order_relaxed);
     backoff.wait(ctx, attempt);
-    ++attempt;
+    if (!fault::should_fail("shm:flap", ep)) return;
   }
 }
 

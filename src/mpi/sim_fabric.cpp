@@ -1,6 +1,7 @@
 #include "mpi/sim_fabric.hpp"
 
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "fault/injector.hpp"
@@ -32,12 +33,7 @@ SimFabricTransport::SimFabricTransport(Options opts) : opts_(opts) {
   }
   dead_ = std::make_unique<std::atomic<bool>[]>(
       static_cast<std::size_t>(nnodes_));
-  flap_ops_ = std::make_unique<std::atomic<int>[]>(
-      static_cast<std::size_t>(nnodes_));
-  for (int n = 0; n < nnodes_; ++n) {
-    dead_[n].store(false);
-    flap_ops_[n].store(0);
-  }
+  for (int n = 0; n < nnodes_; ++n) dead_[n].store(false);
 }
 
 detail::Mailbox& SimFabricTransport::mailbox(int ep, const char* what) {
@@ -53,29 +49,15 @@ void SimFabricTransport::throw_node_dead(int node, const char* what) const {
                                 std::to_string(node) + " unreachable");
 }
 
-bool SimFabricTransport::link_flapping(int node) {
-  auto& rem = flap_ops_[static_cast<std::size_t>(node)];
-  int cur = rem.load(std::memory_order_acquire);
-  while (cur > 0) {
-    if (rem.compare_exchange_weak(cur, cur - 1,
-                                  std::memory_order_acq_rel)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void SimFabricTransport::ride_out_flaps(ult::TaskContext& ctx, int node,
                                         int site_index, const char* what) {
-  // Seed from (task, endpoint site, burst epoch) so peers riding out the
-  // same flapping node jitter independently instead of stampeding in
-  // lockstep (retry.hpp).
-  RetryBackoff backoff(
-      opts_.retry,
-      jitter_seed(ctx.task_id(), site_index,
-                  flap_epoch_.fetch_add(1, std::memory_order_relaxed)));
-  int attempt = 1;
-  while (link_flapping(node) || fault::should_fail("fabric:flap", site_index)) {
+  // Built at the first flap of the op: an op that sees none draws no
+  // burst epoch. Seed from (task, endpoint site, burst epoch) so peers
+  // riding out the same flapping node jitter independently instead of
+  // stampeding in lockstep (retry.hpp).
+  std::optional<RetryBackoff> backoff;
+  for (int attempt = 1; fault::should_fail("fabric:flap", site_index);
+       ++attempt) {
     stats_.link_flaps.fetch_add(1, std::memory_order_relaxed);
     if (attempt >= opts_.retry.max_attempts) {
       // Transient budget exhausted: reclassify as persistent. The fabric
@@ -91,8 +73,13 @@ void SimFabricTransport::ride_out_flaps(ult::TaskContext& ctx, int node,
     if (opts_.obs != nullptr) {
       opts_.obs->count(ctx.task_id(), obs::Counter::net_retries);
     }
-    backoff.wait(ctx, attempt);
-    ++attempt;
+    if (!backoff) {
+      backoff.emplace(opts_.retry,
+                      jitter_seed(ctx.task_id(), site_index,
+                                  flap_epoch_.fetch_add(
+                                      1, std::memory_order_relaxed)));
+    }
+    backoff->wait(ctx, attempt);
   }
 }
 
@@ -368,14 +355,6 @@ void SimFabricTransport::revive_node(int node) {
     }
   }
   first_dead_.store(first, std::memory_order_release);
-}
-
-void SimFabricTransport::flap_link(int node, int ops) {
-  if (node < 0 || node >= nnodes_) {
-    throw MpiError("flap_link: bad node " + std::to_string(node));
-  }
-  flap_ops_[static_cast<std::size_t>(node)].store(
-      ops, std::memory_order_release);
 }
 
 }  // namespace hlsmpc::mpi

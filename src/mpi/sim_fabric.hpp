@@ -17,11 +17,11 @@
 //     mailbox, so check::DeterministicExecutor and ScheduleExplorer can
 //     interleave inter-node protocol steps and replay/shrink schedules.
 //   - Fault injection: "fabric:send"/"fabric:recv" fail an op outright
-//     (hard link failure); "fabric:flap" (and the programmatic
-//     flap_link()) model a TRANSIENT link failure — the op retries with
-//     bounded backoff and either outlasts the flap or, after
-//     Options::retry.max_attempts, reports transport_exhausted so the
-//     caller classifies the link as persistently down.
+//     (hard link failure); "fabric:flap" models a TRANSIENT link
+//     failure — the op retries with bounded backoff and either outlasts
+//     the flap or, after Options::retry.max_attempts, reports
+//     transport_exhausted so the caller classifies the link as
+//     persistently down.
 //   - Dead nodes: kill_node(n) simulates a whole node dropping off the
 //     network. It sets n's dead flag, POISONS the fabric (every ordinary
 //     send/recv anywhere throws NodeDeadError naming the poison node) and
@@ -128,20 +128,12 @@ class SimFabricTransport : public Transport {
   /// between run()s.
   void revive_node(int node);
 
-  /// Programmatic transient failure: the next `ops` operations touching
-  /// `node` (sends towards it, receives at it) fail transiently, then the
-  /// link heals. Ops observing the flap retry under Options::retry, so a
-  /// flap shorter than the budget is invisible to callers apart from
-  /// stats().link_flaps.
-  void flap_link(int node, int ops);
-
  private:
   detail::Mailbox& mailbox(int ep, const char* what);
   void throw_node_dead(int node, const char* what) const;
-  /// Consume one flap token for `node`; true while the link is flapping.
-  bool link_flapping(int node);
-  /// Bounded retry against flap sites; throws transport_exhausted when
-  /// the budget runs out. `site_index` is the injection-site operand.
+  /// Bounded retry against the "fabric:flap" site; throws
+  /// transport_exhausted when the budget runs out. `site_index` is the
+  /// injection-site operand.
   void ride_out_flaps(ult::TaskContext& ctx, int node, int site_index,
                       const char* what);
   void sweep_posted(int dead_node);
@@ -152,7 +144,6 @@ class SimFabricTransport : public Transport {
   std::atomic<std::uint64_t> flap_epoch_{0};
   std::vector<std::unique_ptr<detail::Mailbox>> mailboxes_;
   std::unique_ptr<std::atomic<bool>[]> dead_;
-  std::unique_ptr<std::atomic<int>[]> flap_ops_;
   std::atomic<int> first_dead_{-1};
   std::atomic<int> poison_{-1};
 };

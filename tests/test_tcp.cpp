@@ -193,9 +193,21 @@ TEST(TcpTransport, SurvivesSignalStormDuringLargeTransfer) {
   ASSERT_EQ(sigaction(SIGUSR1, &sa, &old), 0);
   g_usr1.store(0, std::memory_order_relaxed);
   const pthread_t io_thread = pthread_self();
-  std::atomic<bool> done{false};
-  std::thread storm([&] {
-    while (!done.load(std::memory_order_relaxed)) {
+  // Stopped and joined at the end of the transfer, or by the destructor
+  // when a transport error unwinds past it: a joinable std::thread
+  // destroyed by unwinding aborts the binary instead of failing the test.
+  struct Storm {
+    std::atomic<bool> done{false};
+    std::thread thread;
+    void stop() {
+      if (!thread.joinable()) return;
+      done.store(true, std::memory_order_relaxed);
+      thread.join();
+    }
+    ~Storm() { stop(); }
+  } storm;
+  storm.thread = std::thread([&] {
+    while (!storm.done.load(std::memory_order_relaxed)) {
       pthread_kill(io_thread, SIGUSR1);       // the thread in full_send
       kill(getpid(), SIGUSR1);                // any thread, incl. receiver
       std::this_thread::sleep_for(std::chrono::microseconds(50));
@@ -211,8 +223,7 @@ TEST(TcpTransport, SurvivesSignalStormDuringLargeTransfer) {
     wait(c, t.isend(c, 0, 1, 1, in.data(), n, 21, 0));
     wait(c, t.irecv(c, 0, out.data(), n, 1, 22, 0));
     EXPECT_EQ(in, out);
-    done.store(true, std::memory_order_relaxed);
-    storm.join();
+    storm.stop();
   }
   ASSERT_EQ(sigaction(SIGUSR1, &old, nullptr), 0);
   EXPECT_GT(g_usr1.load(std::memory_order_relaxed), 0);

@@ -30,9 +30,8 @@
 //    pages whose bytes differ (memcmp) from the previous version's
 //    restored image, a delta save hashes each page once, a write racing
 //    a save keeps its page in the next delta, materializing a region
-//    hashes nothing and a restore hashes each region once; a scan split
-//    across helper threads returns the serial CRC of every page, and
-//    one whose helper cannot start hashes the share itself. These run
+//    hashes nothing and a restore hashes each region once; a scan of a
+//    16 MiB region returns the serial CRC of every page. These run
 //    on the kernel's write-protect bits and again on the full pass
 //    (fault site tier:uffd); the kernel path hashes at least the pages
 //    written, and a page stored to stays in the next delta through
@@ -291,8 +290,8 @@ std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-/// A region that PageCache::scan splits into at least three shares (one
-/// per 4 MiB) where the CPUs allow, in 64 KiB pages with a short last one.
+/// A region of 64 KiB pages with a short last one, in tier_ckpt's page
+/// size.
 constexpr std::size_t kScanPage = 64 * 1024;
 constexpr std::size_t kScanRegion = (std::size_t{16} << 20) + 1000;
 
@@ -731,10 +730,10 @@ TEST(PageCache, WriteBetweenScanAndAdoptKeepsPageInNextDeltaOnFullPass) {
 
 namespace {
 
-void parallel_scan_matches_serial_crc_of_every_page(Pass pass) {
+void scan_matches_serial_crc_of_every_page(Pass pass) {
   std::optional<FullPassOnly> forced;
   if (pass == Pass::full) forced.emplace();
-  const std::string dir = fresh_dir(tagged("hls_tier_pc_parallel", pass));
+  const std::string dir = fresh_dir(tagged("hls_tier_pc_scan", pass));
   shm::MappedSegment seg(dir + "/seg", kScanRegion);
   hls::TierConfig cfg = small_pages(dir);
   cfg.page_bytes = kScanPage;
@@ -743,7 +742,6 @@ void parallel_scan_matches_serial_crc_of_every_page(Pass pass) {
   const std::size_t npages = (kScanRegion + kScanPage - 1) / kScanPage;
   const auto* p = static_cast<const unsigned char*>(seg.base());
   std::mt19937_64 rng(25);
-  std::printf("scan shares: %zu\n", pc.scan_shares(kScanRegion));
 
   // Checks one scan against the serial ground truth over `before`. A pass
   // without baselines hashes every page once, as does every full pass; a
@@ -787,54 +785,12 @@ void parallel_scan_matches_serial_crc_of_every_page(Pass pass) {
 
 }  // namespace
 
-TEST(PageCache, ParallelScanMatchesSerialCrcOfEveryPage) {
-  parallel_scan_matches_serial_crc_of_every_page(Pass::kernel);
+TEST(PageCache, ScanMatchesSerialCrcOfEveryPage) {
+  scan_matches_serial_crc_of_every_page(Pass::kernel);
 }
 
-TEST(PageCache, ParallelScanMatchesSerialCrcOfEveryPageOnFullPass) {
-  parallel_scan_matches_serial_crc_of_every_page(Pass::full);
-}
-
-TEST(PageCache, ScanWhoseHelperCannotStartHashesEveryPageOnce) {
-  if (ult::ThreadCensus::usable_cpus() < 2) {
-    GTEST_SKIP() << "one usable CPU: a scan starts no helper";
-  }
-  const std::string dir = fresh_dir("hls_tier_pc_helper_fault");
-  shm::MappedSegment seg(dir + "/seg", kScanRegion);
-  hls::TierConfig cfg = small_pages(dir);
-  cfg.page_bytes = kScanPage;
-  hls::PageCache pc(cfg);
-  const int rid = pc.attach(&seg);
-  const std::size_t npages = (kScanRegion + kScanPage - 1) / kScanPage;
-  const auto* p = static_cast<const unsigned char*>(seg.base());
-  std::mt19937_64 rng(26);
-  random_stores(seg, rng, 200);
-  pc.rebaseline(rid);
-  const std::vector<unsigned char> image(p, p + kScanRegion);
-  random_stores(seg, rng, 40);
-  const hls::TierScan want = serial_scan(seg, kScanPage, image);
-
-  // The nth helper the scan starts fails: helpers start from the last
-  // share down, so the caller hashes that share and every one below it.
-  const std::size_t helpers = pc.scan_shares(kScanRegion) - 1;
-  ASSERT_GE(helpers, 1u);
-  for (std::size_t nth = 1; nth <= helpers; ++nth) {
-    SCOPED_TRACE("helper " + std::to_string(nth) + " fails to start");
-    hlsmpc::fault::FaultInjector inj;
-    hlsmpc::fault::ScopedFaultInjection installed(inj);
-    // Helpers split a full pass: refusing the kernel's bits makes this
-    // scan hash every page.
-    inj.arm_always("tier:uffd");
-    inj.arm("tier:scan_helper", nth);
-    const std::uint64_t h0 = pc.stats().hashed_pages;
-    hls::TierScan got;
-    EXPECT_NO_THROW(got = pc.scan(rid));
-    EXPECT_EQ(inj.fired("tier:scan_helper"), 1u);
-    EXPECT_EQ(inj.hits("tier:scan_helper"), nth);
-    EXPECT_EQ(pc.stats().hashed_pages - h0, npages);
-    EXPECT_EQ(got.crcs, want.crcs);
-    EXPECT_EQ(got.spans, want.spans);
-  }
+TEST(PageCache, ScanMatchesSerialCrcOfEveryPageOnFullPass) {
+  scan_matches_serial_crc_of_every_page(Pass::full);
 }
 
 // ---- dirty tracking by the kernel's write-protect bits ---------------
