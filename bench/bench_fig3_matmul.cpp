@@ -58,7 +58,9 @@ constexpr int kObsN = 32;
 /// also drain the event stream into a Chrome trace_event file there.
 std::string run_real_counters(const topo::Machine& machine, Config cfg,
                               Mode mode, const std::string& trace_path) {
-  mpc::Node node(machine, {});
+  mpc::NodeOptions opts;
+  if (!trace_path.empty()) opts.obs_ring_capacity = 4096;
+  mpc::Node node(machine, opts);
   apps::matmul::run_on_node(node, cfg, mode);
   obs::Recorder* rec = node.obs();
   const obs::Snapshot snap = rec->snapshot();

@@ -78,8 +78,9 @@ class Runtime {
     /// exporters). Must outlive the runtime's tasks.
     obs::Sink* obs_sink = nullptr;
     /// Ring capacity of the owned recorder (events per task; 0 = counters
-    /// only). Ignored when `obs` is supplied.
-    std::size_t obs_ring_capacity = 4096;
+    /// only, and no clock read unless `obs_sink` is set). Callers that
+    /// drain events() ask for one. Ignored when `obs` is supplied.
+    std::size_t obs_ring_capacity = 0;
     /// Sync watchdog deadline: a task stuck inside a barrier/single for
     /// longer than this throws HlsError(ErrorCode::deadlock) with a dump
     /// naming the arrived and missing tasks (see

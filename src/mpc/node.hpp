@@ -22,7 +22,9 @@ struct NodeOptions {
   obs::Recorder* obs = nullptr;
   /// Extra sink chained onto the node's event stream.
   obs::Sink* obs_sink = nullptr;
-  std::size_t obs_ring_capacity = 4096;
+  /// Event ring per task of the owned recorder; 0 = none (see
+  /// hls::Runtime::Options::obs_ring_capacity).
+  std::size_t obs_ring_capacity = 0;
   /// Sync watchdog deadline for the HLS runtime (0 = off); see
   /// hls::Runtime::Options::watchdog_ms.
   int watchdog_ms = 0;

@@ -173,7 +173,8 @@ void Win::fence(ult::TaskContext& ctx, int me) {
   // is ordered before the store every peer acquires below.
   mine.epoch.store(next, std::memory_order_release);
   const int wd = opts_.watchdog_ms;
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = wd > 0 ? std::chrono::steady_clock::now()
+                            : std::chrono::steady_clock::time_point{};
   for (int r = 0; r < n_; ++r) {
     ult::Backoff backoff(ctx);
     while (slots_[static_cast<std::size_t>(r)].epoch.load(
@@ -216,7 +217,8 @@ void Win::lock(ult::TaskContext& ctx, int me, LockKind kind, int target) {
   std::atomic<std::uint64_t>& word =
       slots_[static_cast<std::size_t>(target)].lockword;
   const int wd = opts_.watchdog_ms;
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = wd > 0 ? std::chrono::steady_clock::now()
+                            : std::chrono::steady_clock::time_point{};
   ult::Backoff backoff(ctx);
   if (kind == LockKind::exclusive) {
     const std::uint64_t mine =

@@ -12,7 +12,9 @@
 // Instrumentation is always compiled in and configured at run time: a
 // site with no recorder attached costs one null test, and a recorder with
 // ring_capacity 0 keeps its counters and feeds its chained sinks but
-// stores no events.
+// stores no events. With no sink chained either it is not listening:
+// sites read no clock and record() drops their events (recorder.hpp);
+// sinks are chained before tasks run, which settles that up front.
 #pragma once
 
 #include <array>

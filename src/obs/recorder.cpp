@@ -183,6 +183,7 @@ const char* to_string(CollAlg alg) {
 
 Recorder::Recorder(RecorderOptions opts)
     : epoch_(std::chrono::steady_clock::now()),
+      listening_(opts.ring_capacity > 0),
       num_scopes_(std::max(opts.num_scopes, 0)),
       ring_capacity_(opts.ring_capacity),
       blocks_(static_cast<std::size_t>(std::max(opts.ntasks, 1))) {
@@ -210,7 +211,7 @@ void Recorder::count_scope_bytes(int task, int sid, std::uint64_t bytes) {
   bump(b.scope_touches[static_cast<std::size_t>(sid)], 1);
 }
 
-void Recorder::record(const Event& e) {
+void Recorder::deliver(const Event& e) {
   if (static_cast<unsigned>(e.task) < blocks_.size() && ring_capacity_ > 0) {
     TaskBlock& b = blocks_[static_cast<std::size_t>(e.task)];
     const std::uint64_t n = b.pushed.load(std::memory_order_relaxed);
@@ -225,6 +226,7 @@ void Recorder::record(const Event& e) {
 void Recorder::chain(Sink* s) {
   if (s == nullptr || s == this) return;
   sinks_.push_back(s);
+  listening_ = true;
 }
 
 Snapshot Recorder::snapshot() const {

@@ -13,6 +13,10 @@
 // guaranteed stable when the writing tasks are quiescent (joined or
 // between runs): a ring slot being overwritten while events() copies it
 // would be torn. All exporters in this repo drain after the run.
+// A recorder with no ring and no chained sink is not listening: now()
+// reads no clock and record() drops the event, so an untraced run pays
+// for its counters only. chain()'s precondition fixes that before tasks
+// run.
 #pragma once
 
 #include <atomic>
@@ -31,8 +35,8 @@ struct RecorderOptions {
   /// the per-scope-level byte counters; 0 disables them.
   int num_scopes = 0;
   /// Events retained per task; the ring overwrites its oldest entry when
-  /// full (dropped() counts the overwrites). 0 disables event recording
-  /// entirely — counters keep working.
+  /// full (dropped() counts the overwrites). 0 = no ring: counters keep
+  /// working, events reach chained sinks only.
   std::size_t ring_capacity = 4096;
 };
 
@@ -46,9 +50,15 @@ class Recorder final : public Sink {
   int num_scopes() const { return num_scopes_; }
   std::size_t ring_capacity() const { return ring_capacity_; }
 
+  /// True when an event can reach anyone: a ring holds it or a sink was
+  /// chained.
+  bool listening() const { return listening_; }
+
   /// Nanoseconds since this recorder's construction (steady clock). All
-  /// Event timestamps are expressed on this axis.
+  /// Event timestamps are expressed on this axis. 0, with no clock read,
+  /// while not listening.
   std::uint64_t now() const {
+    if (!listening_) return 0;
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - epoch_)
@@ -90,13 +100,13 @@ class Recorder final : public Sink {
 
   /// Append an event to the task's ring (if rings are enabled) and forward
   /// it to every chained sink. Events without a valid task go to sinks
-  /// only.
-  void record(const Event& e);
+  /// only. A no-op while not listening.
+  void record(const Event& e) { if (listening_) deliver(e); }
 
   void on_event(const Event& e) override { record(e); }
 
-  /// Forward every record()ed event to `s` as well (call before tasks
-  /// run; not synchronized against concurrent record()).
+  /// Forward every record()ed event to `s` as well and listen (call
+  /// before tasks run; not synchronized against record() or now()).
   void chain(Sink* s);
 
   /// Aggregate all counter blocks (lock-free; safe mid-run).
@@ -120,7 +130,10 @@ class Recorder final : public Sink {
     std::atomic<std::uint64_t> pushed{0};
   };
 
+  void deliver(const Event& e);
+
   std::chrono::steady_clock::time_point epoch_;
+  bool listening_ = false;
   int num_scopes_ = 0;
   std::size_t ring_capacity_ = 0;
   std::vector<TaskBlock> blocks_;

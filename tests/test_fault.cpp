@@ -461,7 +461,9 @@ TEST(Watchdog, NegativeDeadlineRejected) {
 
 TEST(Watchdog, BarrierStuckNamesTheMissingTask) {
   topo::Machine m = topo::Machine::nehalem_ex(1);
-  hls::Runtime rt(m, 2, hls::Runtime::Options{.watchdog_ms = 50});
+  hls::Runtime rt(m, 2,
+                  hls::Runtime::Options{.obs_ring_capacity = 4096,
+                                        .watchdog_ms = 50});
   hls::ModuleBuilder mb(rt.registry(), "mod");
   auto v = hls::add_var<int>(mb, "v", topo::node_scope(), 0);
   mb.commit();

@@ -6,6 +6,8 @@
 // across task interleavings.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,6 +18,7 @@
 #include "hb/runtime_tracer.hpp"
 #include "hls/hls.hpp"
 #include "mpc/node.hpp"
+#include "mpi/rma.hpp"
 
 namespace check = hlsmpc::check;
 namespace hb = hlsmpc::hb;
@@ -23,6 +26,7 @@ namespace hls = hlsmpc::hls;
 namespace mpc = hlsmpc::mpc;
 namespace mpi = hlsmpc::mpi;
 namespace obs = hlsmpc::obs;
+namespace rma = hlsmpc::mpi::rma;
 namespace topo = hlsmpc::topo;
 namespace ult = hlsmpc::ult;
 
@@ -280,7 +284,7 @@ TEST(DirectiveSurface, SingleNowaitOnBoundTask) {
 
 TEST(ObsRuntime, CountsDirectivesAndStorage) {
   topo::Machine m = topo::Machine::generic(1, 2);
-  hls::Runtime rt(m, 2);
+  hls::Runtime rt(m, 2, hls::Runtime::Options{.obs_ring_capacity = 4096});
   obs::Recorder* rec = rt.obs();
   ASSERT_NE(rec, nullptr);
 
@@ -480,6 +484,7 @@ TEST(ObsNode, SharedRecorderSeesMpiAndHls) {
   topo::Machine m = topo::Machine::generic(1, 2);
   mpc::NodeOptions opts;
   opts.mpi.nranks = 2;
+  opts.obs_ring_capacity = 4096;
   mpc::Node node(m, opts);
   obs::Recorder* rec = node.obs();
   ASSERT_NE(rec, nullptr);
@@ -516,6 +521,119 @@ TEST(ObsNode, SharedRecorderSeesMpiAndHls) {
   // The drained stream renders to a Chrome trace with MPI slices.
   const std::string json = obs::chrome_trace_json(rec->events());
   EXPECT_NE(json.find("\"cat\": \"mpi\""), std::string::npos);
+}
+
+namespace {
+
+/// A 2-rank node on one fiber worker: every wait is a yield and the
+/// worker runs its queue in order, so counters repeat run to run.
+mpc::NodeOptions one_worker_node(std::size_t ring, obs::Sink* sink) {
+  mpc::NodeOptions opts;
+  opts.mpi.nranks = 2;
+  opts.mpi.executor = mpi::ExecutorKind::fiber;
+  opts.mpi.fiber_workers = 1;
+  opts.obs_ring_capacity = ring;
+  opts.obs_sink = sink;
+  return opts;
+}
+
+/// HLS barrier and single, MPI barrier, allreduce, p2p and an RMA fence.
+void run_every_layer(mpc::Node& node) {
+  hls::ArrayVar<double> shared;
+  {
+    hls::ModuleBuilder mb(node.hls_rt().registry(), "mod");
+    shared = hls::add_array<double>(mb, "B", 8, topo::node_scope());
+    mb.commit();
+  }
+  node.run([&](mpi::Comm& world, hls::TaskView& view) {
+    auto& ctx = view.context();
+    const int me = world.rank(ctx);
+    (void)view.get(shared);
+    view.barrier({shared.handle()});
+    view.single({shared.handle()}, [] {});
+    world.barrier(ctx);
+    (void)world.allreduce_value(ctx, 1.0, mpi::Op::sum);
+    if (me == 0) {
+      world.send_value(ctx, 41, 1, 7);
+    } else {
+      (void)world.recv_value<int>(ctx, 0, 7);
+    }
+    std::vector<double> region(4, 0.0);
+    rma::Win& win = world.win_create(ctx, region.data(),
+                                     region.size() * sizeof(double));
+    win.fence(ctx, me);
+    win.put(ctx, me, &region[0], sizeof(double), 1 - me, 0);
+    win.fence(ctx, me);
+    world.win_free(ctx, win);
+  });
+}
+
+/// Per-kind event counts; thread-safe.
+struct KindCountingSink final : obs::Sink {
+  std::mutex mu;
+  std::map<obs::EventKind, std::size_t> kinds;
+  bool stamped = true;  ///< every event had 0 < t0 <= t1
+  void on_event(const obs::Event& e) override {
+    std::lock_guard<std::mutex> lk(mu);
+    ++kinds[e.kind];
+    if (e.t0 == 0 || e.t1 < e.t0) stamped = false;
+  }
+};
+
+}  // namespace
+
+TEST(ObsNode, DefaultNodeKeepsNoRingAndCountsTheSame) {
+  // The owned recorder defaults to no ring and no sink: not listening.
+  // Its counters must not depend on that, so a node given rings that
+  // runs the same program snapshots identically, counter for counter.
+  topo::Machine m = topo::Machine::generic(1, 2);
+  mpc::Node quiet(m, one_worker_node(mpc::NodeOptions{}.obs_ring_capacity,
+                                     nullptr));
+  run_every_layer(quiet);
+  mpc::Node ringed(m, one_worker_node(4096, nullptr));
+  run_every_layer(ringed);
+
+  EXPECT_EQ(quiet.obs()->ring_capacity(), 0u);
+  EXPECT_FALSE(quiet.obs()->listening());
+  EXPECT_TRUE(quiet.obs()->events().empty());
+  EXPECT_EQ(quiet.obs()->now(), 0u);
+  ASSERT_FALSE(ringed.obs()->events().empty());
+
+  const obs::Snapshot a = quiet.obs()->snapshot();
+  const obs::Snapshot b = ringed.obs()->snapshot();
+  EXPECT_EQ(a.value(obs::Counter::barrier_entries), 2u);
+  EXPECT_EQ(a.value(obs::Counter::single_wins), 1u);
+  EXPECT_GT(a.value(obs::Counter::coll_ops), 0u);
+  EXPECT_EQ(a.value(obs::Counter::p2p_sends), 1u);
+  EXPECT_EQ(a.value(obs::Counter::rma_puts), 2u);
+  EXPECT_GT(a.value(obs::Counter::rma_fences), 0u);
+  EXPECT_GT(a.value(obs::Counter::ctx_switches), 0u);
+  EXPECT_EQ(obs::to_json(a), obs::to_json(b));
+}
+
+TEST(ObsNode, SinkAloneTurnsListeningOn) {
+  // A sink chained on a ring-0 recorder receives every event a ring
+  // records for the same program, stamped on the recorder's clock.
+  topo::Machine m = topo::Machine::generic(1, 2);
+  KindCountingSink sink;
+  mpc::Node sunk(m, one_worker_node(0, &sink));
+  run_every_layer(sunk);
+  mpc::Node ringed(m, one_worker_node(4096, nullptr));
+  run_every_layer(ringed);
+
+  EXPECT_TRUE(sunk.obs()->listening());
+  EXPECT_TRUE(sunk.obs()->events().empty());
+  std::map<obs::EventKind, std::size_t> ring_kinds;
+  for (const obs::Event& e : ringed.obs()->events()) ++ring_kinds[e.kind];
+  for (const obs::EventKind k :
+       {obs::EventKind::barrier, obs::EventKind::single_exec,
+        obs::EventKind::collective, obs::EventKind::p2p_send,
+        obs::EventKind::rma_op, obs::EventKind::rma_epoch,
+        obs::EventKind::ctx_switch}) {
+    EXPECT_GT(ring_kinds[k], 0u) << obs::to_string(k);
+  }
+  EXPECT_EQ(sink.kinds, ring_kinds);
+  EXPECT_TRUE(sink.stamped);
 }
 
 TEST(ObsNode, RuntimeTracerRetrofitsAsSink) {
